@@ -1,26 +1,32 @@
 //! An indexed binary max-heap supporting update and removal by key.
 //!
-//! The ROCK merge loop (paper §4, figure "cluster") keeps one *local heap*
-//! `q[i]` per cluster — the clusters linked to `i`, ordered by goodness —
-//! and a *global heap* `Q` of clusters ordered by the goodness of their
-//! best local merge. Every merge must update or delete arbitrary entries of
-//! many heaps, an operation `std::collections::BinaryHeap` does not offer.
+//! The ROCK merge loop (paper §4, figure "cluster") keeps a *global heap*
+//! `Q` of clusters ordered by the goodness of their best local merge.
+//! Every merge must update or delete arbitrary entries of `Q`, an
+//! operation `std::collections::BinaryHeap` does not offer.
 //!
 //! [`IndexedHeap`] stores a classic array-backed binary heap plus an
-//! id → position map, giving `O(log n)` insert / update / remove and `O(1)`
-//! peek, matching the complexity the paper assumes. The position index is
-//! a hash map so that a run with one local heap per cluster costs memory
-//! proportional to the *link rows*, not `O(n²)`.
-
-use std::collections::HashMap;
+//! id → position index, giving `O(log n)` insert / update / remove and
+//! `O(1)` peek, matching the complexity the paper assumes. Ids are dense
+//! slot numbers (`0..n` in the merge engine), so the index is a plain
+//! `Vec` grown on demand: a sift step costs two array stores, not two
+//! hash-map inserts. The per-cluster *local* heaps `q[i]` do not use this
+//! type; they are lazy `BinaryHeap`s validated against the link rows
+//! (see `agglomerate`).
 
 use crate::telemetry::MemoryEstimate;
+
+/// Position-index value of an id that has no entry.
+const ABSENT: usize = usize::MAX;
 
 /// Array-backed binary **max**-heap keyed by `u32` ids.
 ///
 /// Priorities need a total order (`Ord`); for floating-point goodness
 /// values wrap them in a totally ordered key (see
 /// `agglomerate::GoodnessKey`).
+///
+/// The position index is dense: it holds one slot per id up to the
+/// largest id ever inserted, so ids should be small integers.
 ///
 /// Every heap keeps lifetime telemetry tallies of its push and pop
 /// operations (see [`telemetry_counts`](Self::telemetry_counts)); the
@@ -29,24 +35,25 @@ use crate::telemetry::MemoryEstimate;
 pub struct IndexedHeap<P: Ord> {
     /// Heap array of `(priority, id)`.
     entries: Vec<(P, u32)>,
-    /// `pos[id]` = index in `entries`; absent ids have no entry.
-    pos: HashMap<u32, usize>,
+    /// `pos[id]` = index in `entries`, or [`ABSENT`]; ids at or beyond
+    /// `pos.len()` have no entry.
+    pos: Vec<usize>,
     /// Lifetime count of insert/update operations.
     pushes: u64,
     /// Lifetime count of removals (including entries dropped by `clear`).
     pops: u64,
     /// Lifetime count of internal-consistency anomalies (a `remove` whose
-    /// position map and entry array disagreed). Always 0 on a healthy heap.
+    /// position index and entry array disagreed). Always 0 on a healthy heap.
     anomalies: u64,
 }
 
 impl<P: Ord> IndexedHeap<P> {
     /// Creates an empty heap. `capacity` is a size hint for the expected
-    /// number of simultaneous entries.
+    /// number of simultaneous entries (and the id range `0..capacity`).
     pub fn with_capacity(capacity: usize) -> Self {
         IndexedHeap {
-            entries: Vec::with_capacity(capacity.min(1024)),
-            pos: HashMap::with_capacity(capacity.min(1024)),
+            entries: Vec::with_capacity(capacity),
+            pos: Vec::with_capacity(capacity),
             pushes: 0,
             pops: 0,
             anomalies: 0,
@@ -55,13 +62,26 @@ impl<P: Ord> IndexedHeap<P> {
 
     /// Creates an empty heap with no preallocation.
     pub fn new() -> Self {
-        IndexedHeap {
-            entries: Vec::new(),
-            pos: HashMap::new(),
-            pushes: 0,
-            pops: 0,
-            anomalies: 0,
+        IndexedHeap::with_capacity(0)
+    }
+
+    /// Position of `id` in `entries`, if present.
+    #[inline]
+    fn position(&self, id: u32) -> Option<usize> {
+        match self.pos.get(crate::cast::u32_to_usize(id)) {
+            Some(&p) if p != ABSENT => Some(p),
+            _ => None,
         }
+    }
+
+    /// Records `id` at entry index `p`, growing the index on demand.
+    #[inline]
+    fn set_position(&mut self, id: u32, p: usize) {
+        let i = crate::cast::u32_to_usize(id);
+        if i >= self.pos.len() {
+            self.pos.resize(i + 1, ABSENT);
+        }
+        self.pos[i] = p;
     }
 
     /// Number of entries currently in the heap.
@@ -79,19 +99,19 @@ impl<P: Ord> IndexedHeap<P> {
     /// Returns `true` if `id` is present.
     #[inline]
     pub fn contains(&self, id: u32) -> bool {
-        self.pos.contains_key(&id)
+        self.position(id).is_some()
     }
 
     /// Returns the priority stored for `id`.
     pub fn priority(&self, id: u32) -> Option<&P> {
-        let p = *self.pos.get(&id)?;
+        let p = self.position(id)?;
         Some(&self.entries[p].0)
     }
 
     /// Inserts `id` with `priority`, or updates its priority if present.
     pub fn insert_or_update(&mut self, id: u32, priority: P) {
         self.pushes += 1;
-        if let Some(&slot) = self.pos.get(&id) {
+        if let Some(slot) = self.position(id) {
             let old_was_less = self.entries[slot].0 < priority;
             self.entries[slot].0 = priority;
             if old_was_less {
@@ -102,27 +122,28 @@ impl<P: Ord> IndexedHeap<P> {
         } else {
             self.entries.push((priority, id));
             let idx = self.entries.len() - 1;
-            self.pos.insert(id, idx);
+            self.set_position(id, idx);
             self.sift_up(idx);
         }
     }
 
     /// Removes `id`, returning its priority if it was present.
     pub fn remove(&mut self, id: u32) -> Option<P> {
-        let slot = self.pos.remove(&id)?;
+        let slot = self.position(id)?;
+        self.pos[crate::cast::u32_to_usize(id)] = ABSENT;
         self.pops += 1;
         let last = self.entries.len() - 1;
         self.entries.swap(slot, last);
         if slot != last {
-            self.pos.insert(self.entries[slot].1, slot);
+            self.set_position(self.entries[slot].1, slot);
         }
-        // The position map just yielded a slot, so an entry must exist; if
+        // The position index just yielded a slot, so an entry must exist; if
         // that ever breaks, record the corruption and degrade to `None` —
         // the anomaly tally surfaces it through telemetry and the
         // contracts checks instead of a silent wrong answer.
         let Some((p, _)) = self.entries.pop() else {
             self.anomalies += 1;
-            debug_assert!(false, "heap position map referenced an empty entry array");
+            debug_assert!(false, "heap position index referenced an empty entry array");
             return None;
         };
         if slot < self.entries.len() {
@@ -150,8 +171,10 @@ impl<P: Ord> IndexedHeap<P> {
     /// one pop in the telemetry tallies.
     pub fn clear(&mut self) {
         self.pops += crate::cast::usize_to_u64(self.entries.len());
+        for &(_, id) in &self.entries {
+            self.pos[crate::cast::u32_to_usize(id)] = ABSENT;
+        }
         self.entries.clear();
-        self.pos.clear();
     }
 
     /// Lifetime `(pushes, pops)` operation tallies of this heap.
@@ -180,8 +203,8 @@ impl<P: Ord> IndexedHeap<P> {
                 break;
             }
             self.entries.swap(idx, parent);
-            self.pos.insert(self.entries[idx].1, idx);
-            self.pos.insert(self.entries[parent].1, parent);
+            self.set_position(self.entries[idx].1, idx);
+            self.set_position(self.entries[parent].1, parent);
             idx = parent;
         }
     }
@@ -201,29 +224,28 @@ impl<P: Ord> IndexedHeap<P> {
                 break;
             }
             self.entries.swap(idx, largest);
-            self.pos.insert(self.entries[idx].1, idx);
-            self.pos.insert(self.entries[largest].1, largest);
+            self.set_position(self.entries[idx].1, idx);
+            self.set_position(self.entries[largest].1, largest);
             idx = largest;
         }
     }
 
-    /// Estimated heap bytes: the entry array at capacity plus the
-    /// position map (bucket overhead approximated at 1/8 load slack).
+    /// Estimated heap bytes: the entry array and the position index at
+    /// capacity.
     pub fn estimated_bytes(&self) -> usize {
-        let map_entry = std::mem::size_of::<(u32, usize)>() + std::mem::size_of::<u64>() / 8;
         std::mem::size_of::<Self>()
             + self.entries.capacity() * std::mem::size_of::<(P, u32)>()
-            + self.pos.capacity() * map_entry
+            + self.pos.capacity() * std::mem::size_of::<usize>()
     }
 
-    /// Checks the heap invariant and position map; test/debug helper.
+    /// Checks the heap invariant and position index; test/debug helper.
     #[cfg(any(test, debug_assertions))]
     pub fn assert_invariants(&self) {
         for (i, (p, id)) in self.entries.iter().enumerate() {
             assert_eq!(
-                self.pos.get(id).copied(),
+                self.position(*id),
                 Some(i),
-                "pos map out of sync for id {id}"
+                "pos index out of sync for id {id}"
             );
             if i > 0 {
                 let parent = &self.entries[(i - 1) / 2].0;
@@ -231,9 +253,9 @@ impl<P: Ord> IndexedHeap<P> {
             }
         }
         assert_eq!(
-            self.pos.len(),
+            self.pos.iter().filter(|&&p| p != ABSENT).count(),
             self.entries.len(),
-            "pos map counts mismatch"
+            "pos index counts mismatch"
         );
         assert_eq!(
             self.anomalies, 0,
@@ -363,7 +385,7 @@ mod tests {
 
     #[test]
     fn sparse_ids_are_supported() {
-        // Ids far beyond the capacity hint work because the index is a map.
+        // Ids far beyond the capacity hint work: the index grows on demand.
         let mut h = IndexedHeap::with_capacity(2);
         h.insert_or_update(1_000_000, 5);
         h.insert_or_update(42, 7);

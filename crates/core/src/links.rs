@@ -216,6 +216,14 @@ fn shard_boundaries(graph: &NeighborGraph, shards: usize) -> Vec<usize> {
 }
 
 impl LinkTable {
+    /// A table from explicit upper-triangle rows (`rows[i]` holds sorted
+    /// `(j, link)` with `j > i`), for merge-engine tests that need link
+    /// counts no neighbor graph would produce.
+    #[cfg(test)]
+    pub(crate) fn from_upper_rows(rows: Vec<Vec<(u32, u32)>>) -> Self {
+        LinkTable { rows }
+    }
+
     /// Computes all pairwise link counts from a neighbor graph
     /// (single-threaded).
     pub fn compute(graph: &NeighborGraph) -> Self {

@@ -251,9 +251,9 @@ impl EventSink for StderrSink {
 /// | `neighbor_pairs_verified` | one join candidate whose intersection was computed and checked against θ (each is also one `similarity_comparisons` unit) |
 /// | `link_kernel_steps` | one visit of the link kernel's inner loop (`Σ_i Σ_{l∈N(i)} deg(l)` — the paper's `Σ deg²` cost) |
 /// | `link_entries` | one nonzero upper-triangle entry in the link table |
-/// | `heap_pushes` | one `insert_or_update` on a merge-engine heap |
-/// | `heap_pops` | one removal from a merge-engine heap (`remove`, or one entry dropped by `clear`) |
-/// | `heap_anomalies` | one internal-consistency anomaly inside a merge-engine heap (a `remove` whose position map and entry array disagreed) — always 0 on a healthy run |
+/// | `heap_pushes` | one key pushed onto a merge-engine heap: a global-heap `insert_or_update`, or a local-heap key (initial, repair, or re-pushed by a rebuild) |
+/// | `heap_pops` | one key leaving a merge-engine heap: a global-heap removal, or a local-heap key discarded as stale, dropped by a rebuild, or dropped with a retired cluster |
+/// | `heap_anomalies` | one internal-consistency anomaly inside the global heap (a `remove` whose position index and entry array disagreed) — always 0 on a healthy run |
 /// | `merges` | one cluster merge |
 /// | `points_sampled` | one point drawn into the clustering sample |
 /// | `outliers_filtered` | one point dropped by the up-front neighbor filter |

@@ -44,7 +44,7 @@
 //! conventional dependency-free stand-in.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -493,18 +493,47 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
+/// How long the acceptor keeps reading a shed connection's unread
+/// request before closing it anyway.
+const SHED_DRAIN: Duration = Duration::from_millis(250);
+
 /// Answers a shed connection inline on the acceptor thread. Best
 /// effort: the client may already be gone.
+///
+/// Closing a socket whose receive buffer still holds the client's
+/// request makes the kernel send a reset, and a reset can destroy the
+/// 503 in flight (the client sees it cut off before `Retry-After`). So
+/// the response goes out in one write, then a write shutdown (FIN after
+/// the response), then the read side is drained until the client closes
+/// or [`SHED_DRAIN`] passes.
 fn shed_connection(stream: TcpStream) {
     let mut stream = stream;
     stream.set_nonblocking(false).ok();
     stream
         .set_write_timeout(Some(Duration::from_millis(200)))
         .ok();
+    let mut response = Vec::new();
     Response::text(503, "Service Unavailable", "queue full\n")
         .header("Retry-After", "1")
-        .write_to(&mut stream, false)
+        .write_to(&mut response, false)
         .ok();
+    if stream.write_all(&response).is_err() {
+        return;
+    }
+    stream.shutdown(std::net::Shutdown::Write).ok();
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut sink = [0u8; 1024];
+    // rock-analyze: allow(guard-loop) — bounded by the SHED_DRAIN deadline: every read times out by it.
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Pops connections until shutdown drains the queue.
