@@ -8,7 +8,9 @@
 #   ./ci.sh --bench        # performance-regression gate only: regenerate
 #                          # telemetry metrics and compare them against
 #                          # the committed results/BENCH_*.json baselines
-#   ./ci.sh --gate <name>  # run exactly one named gate (see --gate help)
+#   ./ci.sh --gate <name>  # run exactly one named gate (see --gate help);
+#                          # `repeat` (flake hunt) and `bench` run only
+#                          # when named
 #
 # A full run appends one line per gate to target/ci/gate_times.txt and
 # prints the wall-time table at the end; CI uploads the file as an
@@ -155,6 +157,34 @@ gate_trace() {
         --export-chrome target/trace/ci-chrome.json >/dev/null
 }
 
+gate_rockbench() {
+    # The end-to-end benchmark (crates/bench/src/bin/rock_bench) is a
+    # package of its own that no workspace command builds, so a change
+    # to the core API it calls would otherwise surface only when the
+    # benchmark runs. Release-only: --quick skips it.
+    if [ "$quick" -eq 1 ]; then
+        echo "== rock_bench package: skipped under --quick (release build)"
+        return 0
+    fi
+    echo "== rock_bench package (clippy -D warnings + tests, release)"
+    cargo clippy --offline --release --all-targets \
+        --manifest-path crates/bench/src/bin/rock_bench/Cargo.toml -- -D warnings
+    cargo test --offline --release \
+        --manifest-path crates/bench/src/bin/rock_bench/Cargo.toml
+}
+
+gate_repeat() {
+    # Flake hunt: the chaos, stream and serve gates five times in a row,
+    # so a timing-dependent failure in the worker loops they trip
+    # mid-phase shows up as a red gate instead of a lucky green one.
+    for round in 1 2 3 4 5; do
+        echo "== repeat gate: round $round of 5"
+        gate_chaos
+        gate_stream
+        gate_serve
+    done
+}
+
 gate_bench() {
     # Wall-time baselines are machine-specific, so this gate is separate
     # from the correctness gates: run it on the machine that committed
@@ -216,7 +246,9 @@ gate_bench() {
 # Full-run gate order. `bench` is deliberately absent: wall-time
 # baselines are machine-specific, so it only runs when asked for
 # (--bench or --gate bench) — same contract as before the selector.
-GATES="fmt clippy analyze tier1 chaos stream serve registry trace"
+# `repeat` reruns three of these gates five times; CI's release job
+# asks for it by name.
+GATES="fmt clippy analyze tier1 chaos stream serve registry trace rockbench"
 
 list_gates() {
     echo "ci.sh gates (run one with --gate <name>):"
@@ -229,6 +261,8 @@ list_gates() {
     echo "  serve     rock-serve build + chaos + loopback smoke"
     echo "  registry  multi-model admin plane smoke"
     echo "  trace     traced run + rock-trace check/report/export"
+    echo "  rockbench rock_bench package: clippy + tests, release (skipped by --quick)"
+    echo "  repeat    chaos + stream + serve gates, 5 rounds (not in full runs)"
     echo "  bench     regression gate vs results/BENCH_*.json (not in full runs)"
 }
 
@@ -238,7 +272,7 @@ if [ "$gate" = "help" ]; then
 fi
 
 if [ -n "$gate" ]; then
-    case " $GATES bench " in
+    case " $GATES repeat bench " in
         *" $gate "*) "gate_$gate" ;;
         *)
             echo "ci.sh: unknown gate '$gate'" >&2

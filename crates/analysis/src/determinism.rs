@@ -464,7 +464,7 @@ fn spawn_merge_order(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                     format!(
                         "`{}` in a spawning function merges worker results in arrival \
                          order, which varies run to run; join and merge by indexed loop \
-                         over the handles in spawn order (see links::compute_observed)",
+                         over the handles in spawn order (see shard::fan_out)",
                         c.callee
                     ),
                 );

@@ -1,6 +1,6 @@
 //! E10 — link-kernel scaling (DESIGN.md §13).
 //!
-//! Benchmarks `LinkTable::compute_observed` alone — the paper's
+//! Benchmarks `LinkTable::compute_guarded` alone — the paper's
 //! `Σ deg²` hot spot — on the mushroom-like generator for 1, 2, 4 and
 //! 8 workers. The neighbor graph is built once per size and reused, so
 //! the measured wall time is the link phase only. Every parallel run is
@@ -59,8 +59,9 @@ fn main() {
             for _ in 0..opts.epochs {
                 let observer = Observer::new();
                 let span = observer.phase(Phase::Links);
-                let (links, wall) =
-                    time_it(|| LinkTable::compute_observed(&graph, threads, &observer));
+                let (links, wall) = time_it(|| {
+                    LinkTable::compute_guarded(&graph, threads, &observer, &Guard::unlimited()).0
+                });
                 span.finish();
                 let metrics = Metrics::collect(
                     &observer,

@@ -76,7 +76,8 @@ fn main() {
             .sample(SampleStrategy::Fixed(sample))
             .seed(opts.seed)
             .build()
-            .fit_observed(&data, &observer)
+            .fit_guarded(&data, &observer, &Guard::unlimited())
+            .map(Outcome::into_model)
     });
     let rock = rock.expect("rock fit");
     opts.emit_metrics(&Metrics::collect(

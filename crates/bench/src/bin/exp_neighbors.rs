@@ -72,8 +72,17 @@ fn main() {
         let brute_obs = Observer::new();
         let span = brute_obs.phase(Phase::Neighbors);
         let (oracle, brute_wall) = time_it(|| {
-            NeighborGraph::compute_brute_force(&sample, &Jaccard, THETA, BRUTE_THREADS, &brute_obs)
-                .expect("brute-force reference")
+            NeighborGraph::compute_strategy(
+                &sample,
+                &Jaccard,
+                THETA,
+                BRUTE_THREADS,
+                &brute_obs,
+                &Guard::unlimited(),
+                JoinStrategy::BruteForce,
+            )
+            .expect("brute-force reference")
+            .0
         });
         span.finish();
         let brute_metrics = Metrics::collect(

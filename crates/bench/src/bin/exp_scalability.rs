@@ -61,7 +61,10 @@ fn main() {
                     builder = builder.trace(path);
                 }
                 let rock = builder.build();
-                let (model, wall) = time_it(|| rock.fit_observed(&data, &observer));
+                let (model, wall) = time_it(|| {
+                    rock.fit_guarded(&data, &observer, &Guard::unlimited())
+                        .map(Outcome::into_model)
+                });
                 let model = model.expect("fit");
                 if best
                     .as_ref()

@@ -64,7 +64,8 @@ fn main() {
             RockBuilder::new(2, THETA)
                 .seed(opts.seed + e as u64)
                 .build()
-                .fit_observed(&data, &observer)
+                .fit_guarded(&data, &observer, &Guard::unlimited())
+                .map(Outcome::into_model)
         });
         let rock = rock.expect("rock fit");
         opts.emit_metrics(&Metrics::collect(

@@ -226,7 +226,8 @@ pub struct Agglomeration {
     pub outliers: Vec<u32>,
 }
 
-/// Runs the ROCK merge engine over `n` points with the given link table.
+/// Runs the ROCK merge engine over `n` points with the given link table
+/// (no telemetry, no budget).
 ///
 /// # Errors
 /// * [`RockError::EmptyDataset`] when `n == 0`.
@@ -237,29 +238,21 @@ pub fn agglomerate(
     goodness: &Goodness,
     config: &AgglomerateConfig,
 ) -> Result<Agglomeration> {
-    agglomerate_observed(n, links, goodness, config, &Observer::new())
+    agglomerate_guarded(
+        n,
+        links,
+        goodness,
+        config,
+        &Observer::new(),
+        &Guard::unlimited(),
+    )
+    .map(|(agg, _)| agg)
 }
 
-/// [`agglomerate`] with telemetry: merges, heap push/pop totals (summed
-/// over the global and every local heap) and pruned outliers flow into
-/// `observer`'s counters, and the combined heap footprint into its memory
-/// gauge.
-///
-/// # Errors
-/// Same as [`agglomerate`].
-pub fn agglomerate_observed(
-    n: usize,
-    links: &LinkTable,
-    goodness: &Goodness,
-    config: &AgglomerateConfig,
-    observer: &Observer,
-) -> Result<Agglomeration> {
-    let (agg, _trip) =
-        agglomerate_guarded(n, links, goodness, config, observer, &Guard::unlimited())?;
-    Ok(agg)
-}
-
-/// [`agglomerate_observed`] under a [`Guard`]: the merge loop calls
+/// [`agglomerate`] with telemetry and under a [`Guard`]. Merges, heap
+/// push/pop totals (summed over the global and every local heap) and
+/// pruned outliers flow into `observer`'s counters, and the combined heap
+/// footprint into its memory gauge. The merge loop calls
 /// [`Guard::merge_tick`] before every merge, so a step budget of `s`
 /// permits exactly `s` merges, cancellation takes effect within one merge,
 /// and a deadline is sampled periodically. On a trip the engine stops

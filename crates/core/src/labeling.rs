@@ -17,9 +17,11 @@
 use crate::cast;
 use crate::data::{Transaction, TransactionSet};
 use crate::error::{Result, RockError};
-use crate::goodness::LinkExponent;
+use crate::goodness::{ConstantExponent, LinkExponent};
 use crate::rng::{Rng, SliceRandom};
+use crate::shard;
 use crate::similarity::Similarity;
+use crate::snapshot::SimilarityKind;
 use crate::telemetry::trace::Payload;
 use crate::telemetry::{Observer, Phase, PipelineCounters};
 
@@ -154,30 +156,31 @@ pub fn label_point<S: Similarity, F: LinkExponent>(
     best.map(|(_, i)| i)
 }
 
-/// Largest universe (in items) the bit-packed labeling index covers.
-/// Beyond it the per-representative bitsets stop paying for themselves
-/// (64 words each) and labeling falls back to sorted-merge
-/// intersections.
+/// Largest universe (in items) a bit-packed index covers — the labeling
+/// index here and the neighbor join's verification matrix alike. Beyond
+/// it the per-row bitsets stop paying for themselves (64 words each) and
+/// both fall back to sorted-merge intersections.
 pub const MAX_DENSE_UNIVERSE: usize = 4096;
 
 /// Bit-packed representative index: one bitset per representative over
-/// the item universe, so the θ-neighbor test of the labeling rule
-/// becomes a handful of `AND` + popcount words instead of a branchy
-/// sorted merge per representative.
+/// the items `0..=max representative item`, so the θ-neighbor test of the
+/// labeling rule becomes a handful of `AND` + popcount words instead of a
+/// branchy sorted merge per representative.
 ///
 /// The index is exact, not approximate: transactions are sorted
 /// deduplicated sets, so popcounting `point ∧ rep` yields the same
 /// integer `|A ∩ B|` the merge in
 /// [`Transaction::intersection_len`](crate::data::Transaction::intersection_len)
-/// produces, and the similarity formulas are evaluated through the very
-/// same `from_counts` definitions the scalar path uses
-/// ([`crate::similarity::Jaccard::from_counts`] et al.) — identical
-/// floats, identical labels, only faster. Built once per
-/// [`ModelSnapshot`](crate::snapshot::ModelSnapshot); queries reuse a
-/// caller-provided scratch bitset so the hot path allocates nothing.
+/// produces, and the similarity is evaluated through the measure's
+/// [`SimilarityKind::sim_from_counts`], which [`Similarity::count_kind`]
+/// promises equals [`Similarity::sim`] bit for bit — identical floats,
+/// identical labels, only faster. Queries reuse a caller-provided
+/// scratch bitset so the hot path allocates nothing.
 #[derive(Debug, Clone)]
-pub struct DenseReps {
-    /// Words per bitset row (`ceil(universe / 64)`).
+pub(crate) struct DenseReps {
+    /// The measure's count form.
+    kind: SimilarityKind,
+    /// Words per bitset row (`ceil((max item + 1) / 64)`).
     words: usize,
     /// Rep-major bit matrix: representative `r` is
     /// `bits[r * words .. (r + 1) * words]`.
@@ -189,10 +192,20 @@ pub struct DenseReps {
 }
 
 impl DenseReps {
-    /// Builds the index, or `None` when the universe is empty or too
-    /// large to pack profitably (> [`MAX_DENSE_UNIVERSE`]).
-    pub fn build(reps: &Representatives, universe: usize) -> Option<DenseReps> {
-        if universe == 0 || universe > MAX_DENSE_UNIVERSE {
+    /// The labeling kernel choice, made once per representative set:
+    /// builds the index when `sim` has a [`Similarity::count_kind`] and
+    /// every representative item is below [`MAX_DENSE_UNIVERSE`], and
+    /// returns `None` — scalar [`label_point`] — otherwise.
+    pub(crate) fn build<S: Similarity>(reps: &Representatives, sim: &S) -> Option<DenseReps> {
+        let kind = sim.count_kind()?;
+        let universe = reps
+            .sets
+            .iter()
+            .flatten()
+            .filter_map(|rep| rep.items().last())
+            .max()
+            .map_or(0, |&item| cast::u32_to_usize(item) + 1);
+        if universe > MAX_DENSE_UNIVERSE {
             return None;
         }
         let words = universe.div_ceil(64);
@@ -207,15 +220,14 @@ impl DenseReps {
                 let base = row * words;
                 for &item in rep.items() {
                     let i = cast::u32_to_usize(item);
-                    if i / 64 < words {
-                        bits[base + i / 64] |= 1u64 << (i % 64);
-                    }
+                    bits[base + i / 64] |= 1u64 << (i % 64);
                 }
                 lens.push(rep.len());
                 row += 1;
             }
         }
         Some(DenseReps {
+            kind,
             words,
             bits,
             lens,
@@ -223,32 +235,22 @@ impl DenseReps {
         })
     }
 
-    /// Resizes `scratch` to this index's row width (idempotent).
-    pub fn prepare_scratch(&self, scratch: &mut Vec<u64>) {
-        scratch.resize(self.words, 0);
-    }
-
     /// [`label_point`] over the packed index: same scores, same
     /// deterministic lower-index tie-break, same `None`-for-outlier
-    /// contract. `sim` maps `(|A∩B|, |A|, |B|)` to the similarity —
-    /// pass the measure's `from_counts` so both paths share one
-    /// definition. `scratch` must come through
-    /// [`DenseReps::prepare_scratch`].
-    pub fn label_point(
+    /// contract. `scratch` is resized to the row width and overwritten.
+    pub(crate) fn label_point(
         &self,
         point: &Transaction,
-        sim: impl Fn(usize, usize, usize) -> f64,
         theta: f64,
         exponent: f64,
-        scratch: &mut [u64],
+        scratch: &mut Vec<u64>,
     ) -> Option<usize> {
-        for w in scratch.iter_mut() {
-            *w = 0;
-        }
+        scratch.clear();
+        scratch.resize(self.words, 0);
         for &item in point.items() {
             let i = cast::u32_to_usize(item);
-            // Items outside the universe can never match a validated
-            // representative; they still count toward |A| below.
+            // Items outside the index can never match a representative;
+            // they still count toward |A| below.
             if i / 64 < self.words {
                 scratch[i / 64] |= 1u64 << (i % 64);
             }
@@ -263,7 +265,7 @@ impl DenseReps {
                 for (pw, rw) in scratch.iter().zip(row) {
                     inter += cast::u32_to_usize((pw & rw).count_ones());
                 }
-                if sim(inter, a_len, self.lens[r]) >= theta {
+                if self.kind.sim_from_counts(inter, a_len, self.lens[r]) >= theta {
                     n_i += 1;
                 }
             }
@@ -279,61 +281,60 @@ impl DenseReps {
     }
 }
 
-/// Labels every point of `data`, returning per-point cluster assignments
-/// (`None` = outlier).
-pub fn label_all<S: Similarity, F: LinkExponent>(
-    data: &TransactionSet,
-    reps: &Representatives,
-    sim: &S,
-    f: &F,
-    theta: f64,
-) -> Vec<Option<usize>> {
-    data.iter()
-        .map(|p| label_point(p, reps, sim, f, theta))
-        .collect()
+/// The §4.2 rule bound to one representative set: the single labeling
+/// path behind the batch fit ([`label_many_observed`]) and every
+/// [`ModelSnapshot`](crate::snapshot::ModelSnapshot). `dense` is the
+/// kernel [`DenseReps::build`] chose; without it points go through
+/// scalar [`label_point`]. Both evaluate the same similarity on the same
+/// integer counts, so the answer is identical either way.
+pub(crate) struct Labeler<'a, S> {
+    pub(crate) reps: &'a Representatives,
+    pub(crate) dense: Option<&'a DenseReps>,
+    pub(crate) sim: &'a S,
+    pub(crate) theta: f64,
+    /// `f(θ)`, evaluated once.
+    pub(crate) exponent: f64,
 }
 
-/// Labels many points in parallel (chunked over `threads` workers; `0` =
-/// one per CPU, capped at 16). Deterministic: output order matches input.
-pub fn label_many_parallel<S: Similarity, F: LinkExponent>(
-    points: &[&Transaction],
-    reps: &Representatives,
-    sim: &S,
-    f: &F,
-    theta: f64,
-    threads: usize,
-) -> Vec<Option<usize>> {
-    let n = points.len();
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16);
-    let threads = if threads == 0 { hw } else { threads };
-    if threads <= 1 || n < 256 {
-        return points
-            .iter()
-            .map(|p| label_point(p, reps, sim, f, theta))
-            .collect();
-    }
-    let mut out: Vec<Option<usize>> = vec![None; n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (slice_in, slice_out) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (p, o) in slice_in.iter().zip(slice_out.iter_mut()) {
-                    *o = label_point(p, reps, sim, f, theta);
-                }
-            });
+impl<S: Similarity> Labeler<'_, S> {
+    /// Labels one point (`None` = no θ-neighbor in any representative set).
+    fn label(&self, point: &Transaction, scratch: &mut Vec<u64>) -> Option<usize> {
+        match self.dense {
+            Some(dense) => dense.label_point(point, self.theta, self.exponent, scratch),
+            None => label_point(
+                point,
+                self.reps,
+                self.sim,
+                &ConstantExponent(self.exponent),
+                self.theta,
+            ),
         }
-    });
-    out
+    }
+
+    /// Labels `points` over `threads` workers (`0` = one per CPU, capped
+    /// at 16; tiny inputs stay on the caller's thread) in equal
+    /// contiguous chunks. Output order matches input order for every
+    /// thread count.
+    pub(crate) fn label_many(&self, points: &[&Transaction], threads: usize) -> Vec<Option<usize>> {
+        let n = points.len();
+        let mut out: Vec<Option<usize>> = vec![None; n];
+        let bounds = shard::equal_bounds(n, shard::effective_threads(threads, n));
+        shard::fan_out(&mut out, &bounds, |_, start, slice| {
+            let mut scratch = Vec::new();
+            for (p, o) in points[start..].iter().zip(slice) {
+                *o = self.label(p, &mut scratch);
+            }
+        });
+        out
+    }
 }
 
-/// [`label_many_parallel`] with telemetry: labeling similarity
-/// evaluations (`points × total representatives` — [`label_point`] scores
-/// every point against every representative) and the labeled/outlier
-/// split flow into `observer`'s counters.
-#[allow(clippy::too_many_arguments)] // mirrors label_many_parallel + observer
+/// Labels many points over `threads` workers (`0` = one per CPU, capped
+/// at 16) with telemetry: labeling similarity evaluations (`points ×
+/// total representatives` — the rule scores every point against every
+/// representative) and the labeled/outlier split flow into `observer`'s
+/// counters. Deterministic: output order matches input, for every thread
+/// count, and the labels are [`label_point`]'s.
 pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     points: &[&Transaction],
     reps: &Representatives,
@@ -344,7 +345,15 @@ pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     observer: &Observer,
 ) -> Vec<Option<usize>> {
     let span = observer.tracer().begin();
-    let out = label_many_parallel(points, reps, sim, f, theta, threads);
+    let dense = DenseReps::build(reps, sim);
+    let out = Labeler {
+        reps,
+        dense: dense.as_ref(),
+        sim,
+        theta,
+        exponent: f.f(theta),
+    }
+    .label_many(points, threads);
     let counters = observer.counters();
     PipelineCounters::add(
         &counters.labeling_evaluations,
@@ -367,28 +376,6 @@ pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     }
     observer.progress(Phase::Labeling, total, total);
     out
-}
-
-/// Labels a *stream* of transactions (the paper's "data residing on
-/// disk"): each item is scored against the representatives and yielded
-/// with its assignment, without materializing the dataset.
-pub fn label_stream<'a, S, F, I>(
-    stream: I,
-    reps: &'a Representatives,
-    sim: &'a S,
-    f: &'a F,
-    theta: f64,
-) -> impl Iterator<Item = (Transaction, Option<usize>)> + 'a
-where
-    S: Similarity,
-    F: LinkExponent,
-    I: IntoIterator<Item = Transaction>,
-    I::IntoIter: 'a,
-{
-    stream.into_iter().map(move |t| {
-        let label = label_point(&t, reps, sim, f, theta);
-        (t, label)
-    })
 }
 
 #[cfg(test)]
@@ -477,7 +464,16 @@ mod tests {
             Transaction::new([10, 11, 12, 14]),
             Transaction::new([50, 51, 52]),
         ]);
-        let labels = label_all(&data, &reps, &Jaccard, &MarketBasket, 0.5);
+        let points: Vec<&Transaction> = data.iter().collect();
+        let labels = label_many_observed(
+            &points,
+            &reps,
+            &Jaccard,
+            &MarketBasket,
+            0.5,
+            1,
+            &Observer::new(),
+        );
         assert_eq!(labels, vec![Some(0), Some(1), None]);
     }
 
@@ -541,138 +537,231 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Transaction> = points.iter().collect();
-        let seq = label_many_parallel(&refs, &reps, &Jaccard, &MarketBasket, 0.4, 1);
-        let par = label_many_parallel(&refs, &reps, &Jaccard, &MarketBasket, 0.4, 4);
+        let label = |threads| {
+            label_many_observed(
+                &refs,
+                &reps,
+                &Jaccard,
+                &MarketBasket,
+                0.4,
+                threads,
+                &Observer::new(),
+            )
+        };
+        let seq = label(1);
+        let par = label(4);
         assert_eq!(seq, par);
         assert_eq!(seq[0], Some(0));
         assert_eq!(seq[1], Some(1));
         assert_eq!(seq[2], None);
     }
 
-    #[test]
-    fn label_stream_matches_label_all() {
-        let (sample, clusters) = two_cluster_fixture();
-        let cfg = LabelingConfig {
-            representative_fraction: 1.0,
-            max_representatives: 0,
-        };
-        let reps = Representatives::draw(&sample, &clusters, &cfg, &mut seeded_rng(0)).unwrap();
-        let points = vec![
-            Transaction::new([0, 1, 2, 4]),
-            Transaction::new([10, 11, 12, 14]),
-            Transaction::new([50, 51, 52]),
-        ];
-        let data: TransactionSet = points.clone().into_iter().collect();
-        let batch = label_all(&data, &reps, &Jaccard, &MarketBasket, 0.5);
-        let streamed: Vec<Option<usize>> =
-            label_stream(points, &reps, &Jaccard, &MarketBasket, 0.5)
-                .map(|(_, l)| l)
-                .collect();
-        assert_eq!(batch, streamed);
+    const KINDS: [SimilarityKind; 4] = [
+        SimilarityKind::Jaccard,
+        SimilarityKind::Dice,
+        SimilarityKind::Overlap,
+        SimilarityKind::Cosine,
+    ];
+
+    /// A count measure with its count form hidden: the same `sim`, but no
+    /// `count_kind()`, so labeling must take the scalar path.
+    struct Uncounted(SimilarityKind);
+
+    impl Similarity for Uncounted {
+        fn sim(&self, a: &Transaction, b: &Transaction) -> f64 {
+            self.0.sim(a, b)
+        }
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    fn random_set(rng: &mut Rng, lo: u32, span: u32, max_len: usize) -> Transaction {
+        let len = rng.gen_range(0..=max_len);
+        Transaction::new((0..len).map(|_| lo + rng.gen_range(0..u64::from(span)) as u32))
     }
 
     #[test]
     fn dense_index_matches_scalar_labeling() {
         // The bit-packed index must reproduce the scalar path bit for
-        // bit: same integer intersection counts through the shared
-        // `from_counts` formulas, so identical labels for every
-        // measure, θ, and point — including points carrying items
-        // outside the indexed universe.
-        use crate::similarity::{Cosine, Dice, Overlap};
-
-        let mut rng = seeded_rng(7);
-        let universe = 96usize;
-        let item = |rng: &mut crate::rng::Rng, lo: usize, span: usize| {
-            u32::try_from(lo + rng.gen_range(0..span)).expect("small test universe")
-        };
-        let sets: Vec<Vec<Transaction>> = (0..5)
-            .map(|c| {
-                (0..8)
-                    .map(|_| Transaction::new((0..6).map(|_| item(&mut rng, c * 16, 20) % 96)))
-                    .collect()
-            })
-            .collect();
-        let reps = Representatives::from_sets(sets);
-        let dense = DenseReps::build(&reps, universe).expect("fits");
-        let mut scratch = Vec::new();
-        dense.prepare_scratch(&mut scratch);
-
-        let points: Vec<Transaction> = (0..200)
-            .map(|i| {
-                let len = 1 + rng.gen_range(0..6usize);
-                Transaction::new((0..len).map(|_| {
-                    if i % 7 == 0 {
-                        // Out-of-universe items: in |A|, never in a rep.
-                        item(&mut rng, universe, 50)
-                    } else {
-                        item(&mut rng, 0, universe)
+        // bit: same integer intersection counts through the measure's
+        // count form, so identical labels for every measure, θ and point
+        // — including empty points, empty representatives, a cluster
+        // with no representative, and points carrying items outside the
+        // index.
+        for seed in 0..4u64 {
+            let mut rng = seeded_rng(seed);
+            let universe = 40 + 13 * u32::try_from(seed).unwrap();
+            let sets: Vec<Vec<Transaction>> = (0..6u32)
+                .map(|c| {
+                    let reps = if c == 4 { 0 } else { rng.gen_range(1..9usize) };
+                    (0..reps)
+                        .map(|_| {
+                            let t = random_set(&mut rng, c * 8, 20, 7);
+                            Transaction::new(t.items().iter().map(|&i| i % universe))
+                        })
+                        .collect()
+                })
+                .collect();
+            let reps = Representatives::from_sets(sets);
+            let points: Vec<Transaction> = (0..300)
+                .map(|_| random_set(&mut rng, 0, universe + 80, 8))
+                .collect();
+            assert!(points.iter().any(Transaction::is_empty), "seed {seed}");
+            assert!(
+                (0..reps.num_clusters()).any(|c| reps.set(c).iter().any(Transaction::is_empty)),
+                "seed {seed}"
+            );
+            let refs: Vec<&Transaction> = points.iter().collect();
+            let mut scratch = Vec::new();
+            for kind in KINDS {
+                let dense = DenseReps::build(&reps, &kind).expect("fits");
+                for theta in [0.05, 0.2, 1.0 / 3.0, 0.5, 0.73, 0.8, 0.95] {
+                    let exponent = MarketBasket.f(theta);
+                    let scalar: Vec<Option<usize>> = points
+                        .iter()
+                        .map(|p| label_point(p, &reps, &kind, &MarketBasket, theta))
+                        .collect();
+                    for (p, want) in points.iter().zip(&scalar) {
+                        let got = dense.label_point(p, theta, exponent, &mut scratch);
+                        assert_eq!(
+                            got,
+                            *want,
+                            "seed {seed} {kind:?} θ {theta} point {:?}",
+                            p.items()
+                        );
                     }
-                }))
-            })
-            .collect();
-
-        fn check<S: Similarity>(
-            measure: &S,
-            from_counts: fn(usize, usize, usize) -> f64,
-            reps: &Representatives,
-            dense: &DenseReps,
-            points: &[Transaction],
-            theta: f64,
-            scratch: &mut [u64],
-        ) {
-            let exponent = MarketBasket.f(theta);
-            for p in points {
-                let scalar = label_point(p, reps, measure, &MarketBasket, theta);
-                let fast = dense.label_point(p, from_counts, theta, exponent, scratch);
-                assert_eq!(
-                    scalar,
-                    fast,
-                    "measure {} theta {theta} point {:?}",
-                    measure.name(),
-                    p.items()
-                );
+                    for threads in [1, 3] {
+                        let many = label_many_observed(
+                            &refs,
+                            &reps,
+                            &kind,
+                            &MarketBasket,
+                            theta,
+                            threads,
+                            &Observer::new(),
+                        );
+                        assert_eq!(many, scalar, "seed {seed} {kind:?} θ {theta} t {threads}");
+                    }
+                }
             }
-        }
-
-        for theta in [0.2, 0.5, 0.8] {
-            let s = &mut scratch;
-            check(
-                &Jaccard,
-                Jaccard::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
-            check(&Dice, Dice::from_counts, &reps, &dense, &points, theta, s);
-            check(
-                &Overlap,
-                Overlap::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
-            check(
-                &Cosine,
-                Cosine::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
         }
     }
 
+    /// Asserts which kernel [`DenseReps::build`] picks for `sim` and that
+    /// the labeling path answers exactly like scalar [`label_point`].
+    fn assert_path<S: Similarity>(
+        points: &[Transaction],
+        reps: &Representatives,
+        sim: &S,
+        dense: bool,
+    ) {
+        assert_eq!(
+            DenseReps::build(reps, sim).is_some(),
+            dense,
+            "{}",
+            sim.name()
+        );
+        let refs: Vec<&Transaction> = points.iter().collect();
+        let many = label_many_observed(&refs, reps, sim, &MarketBasket, 0.3, 2, &Observer::new());
+        let scalar: Vec<Option<usize>> = points
+            .iter()
+            .map(|p| label_point(p, reps, sim, &MarketBasket, 0.3))
+            .collect();
+        assert_eq!(many, scalar, "{}", sim.name());
+        assert!(scalar.iter().any(Option::is_some), "{}", sim.name());
+    }
+
     #[test]
-    fn dense_index_gates_on_universe_size() {
-        let reps = Representatives::from_sets(vec![vec![Transaction::new([0, 1])]]);
-        assert!(DenseReps::build(&reps, 0).is_none());
-        assert!(DenseReps::build(&reps, MAX_DENSE_UNIVERSE + 1).is_none());
-        assert!(DenseReps::build(&reps, MAX_DENSE_UNIVERSE).is_some());
+    fn uncounted_measures_and_wide_items_take_the_scalar_path() {
+        let mut rng = seeded_rng(11);
+        let sets: Vec<Vec<Transaction>> = (0..3u32)
+            .map(|c| {
+                (0..5)
+                    .map(|_| random_set(&mut rng, c * 10, 14, 6))
+                    .collect()
+            })
+            .collect();
+        let points: Vec<Transaction> = (0..300).map(|_| random_set(&mut rng, 0, 40, 6)).collect();
+
+        // Measures without a count form: no index, scalar labels.
+        let reps = Representatives::from_sets(sets.clone());
+        assert_path(
+            &points,
+            &reps,
+            &crate::similarity::HammingRecord::new(6),
+            false,
+        );
+        assert_path(&points, &reps, &Uncounted(SimilarityKind::Jaccard), false);
+        assert_path(&points, &reps, &Jaccard, true);
+
+        // A representative holding item 4096 is past the index; 4095 fits.
+        for (item, dense) in [(MAX_DENSE_UNIVERSE, false), (MAX_DENSE_UNIVERSE - 1, true)] {
+            let mut sets = sets.clone();
+            sets[1].push(Transaction::new([10, 11, u32::try_from(item).unwrap()]));
+            assert_path(&points, &Representatives::from_sets(sets), &Jaccard, dense);
+        }
+    }
+
+    /// Four planted groups of baskets plus noise items.
+    fn planted(seed: u64, n: usize) -> TransactionSet {
+        let mut rng = seeded_rng(seed);
+        (0..n)
+            .map(|i| {
+                let group = u32::try_from(i % 4).unwrap() * 10;
+                let mut items: Vec<u32> = (0..6u32)
+                    .filter(|_| rng.gen_bool(0.7))
+                    .map(|j| group + j)
+                    .collect();
+                items.push(100 + rng.gen_range(0..60u64) as u32);
+                Transaction::new(items)
+            })
+            .collect()
+    }
+
+    fn fit_with<S: Similarity>(
+        sim: S,
+        data: &TransactionSet,
+        threads: usize,
+    ) -> (crate::rock::RockModel, crate::telemetry::CounterSnapshot) {
+        let observer = Observer::new();
+        let model = crate::rock::RockBuilder::new(4, 0.4)
+            .similarity(sim)
+            .sample(crate::rock::SampleStrategy::Fixed(100))
+            .threads(threads)
+            .seed(5)
+            .record_history(true)
+            .build()
+            .fit_guarded(data, &observer, &crate::guard::Guard::unlimited())
+            .unwrap()
+            .into_model();
+        (model, observer.counters().snapshot())
+    }
+
+    #[test]
+    fn pipeline_labels_identically_through_the_scalar_path() {
+        // The fit labels through the dense index for every count measure;
+        // hiding the count form sends the same fit through scalar
+        // `label_point`. A 100-point sample stays below the index join's
+        // cutoff, so both fits run the brute-force neighbor scan and
+        // every counter is comparable; 300 points are left to label, past
+        // the single-thread cutoff.
+        let data = planted(3, 400);
+        for kind in KINDS {
+            for threads in [1, 2] {
+                let (dense, dense_counters) = fit_with(kind, &data, threads);
+                let (scalar, scalar_counters) = fit_with(Uncounted(kind), &data, threads);
+                let what = format!("{kind:?} threads {threads}");
+                assert_eq!(dense.assignments(), scalar.assignments(), "{what}");
+                assert_eq!(dense.clusters(), scalar.clusters(), "{what}");
+                assert_eq!(dense.outliers(), scalar.outliers(), "{what}");
+                assert_eq!(dense.sample_indices(), scalar.sample_indices(), "{what}");
+                assert_eq!(dense.history(), scalar.history(), "{what}");
+                assert_eq!(dense_counters, scalar_counters, "{what}");
+                assert!(dense_counters.points_labeled > 0, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! matrix-square-row kernel and keeps the inner loop to an indexed add.
 //!
 //! Source rows are independent — row `i` reads only the (immutable)
-//! neighbor graph and writes only `rows[i]` — so the kernel shards over a
-//! scoped thread pool (DESIGN.md §13): rows are partitioned into
+//! neighbor graph and writes only `rows[i]` — so the kernel shards over
+//! [`shard::fan_out`] (DESIGN.md §13): rows are partitioned into
 //! contiguous ranges balanced by the per-row work estimate
 //! `Σ_{l∈N(i)} deg(l)`, each worker owns a private scratch + touched list,
 //! and the merged table is **byte-identical** to the sequential result for
@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::cast;
 use crate::guard::{Guard, Trip};
 use crate::neighbors::NeighborGraph;
+use crate::shard;
 use crate::telemetry::trace::{LatencyHistogram, Payload};
 use crate::telemetry::{MemoryEstimate, MemoryGauges, Observer, Phase, PipelineCounters};
 
@@ -47,6 +48,10 @@ pub struct LinkTable {
 /// returning the kernel steps spent (`Σ_{l∈N(i)} deg(l)`). `scratch` must
 /// be all-zero on entry and is restored to all-zero on exit; `touched` is
 /// scratch storage for the nonzero column indices.
+// Forced inline: left to the heuristic, whether this lands inside the
+// range loop of `compute_range` flips with unrelated code elsewhere in
+// the crate, and the kernel measured 10–20% slower when it did not.
+#[inline(always)]
 fn fill_links_row(
     graph: &NeighborGraph,
     i: usize,
@@ -198,21 +203,17 @@ fn compute_range(
 
 /// Splits `0..n` into `shards` contiguous ranges balanced by the per-row
 /// work estimate `Σ_{l∈N(i)} deg(l)` (+1 so empty rows still carry their
-/// loop cost). Returns `shards + 1` non-decreasing boundaries starting at
-/// 0 and ending at `n`. Purely a function of the graph (via
-/// [`crate::shard::shard_by_weights`]), so the partition — and hence each
-/// worker's output slice — is deterministic.
+/// loop cost), via [`shard::weighted_bounds`]: purely a function of the
+/// graph, so the partition — and hence each worker's output slice — is
+/// deterministic.
 fn shard_boundaries(graph: &NeighborGraph, shards: usize) -> Vec<usize> {
-    let weights: Vec<u64> = (0..graph.len())
-        .map(|i| {
-            1 + graph
-                .neighbors(i)
-                .iter()
-                .map(|&l| cast::usize_to_u64(graph.degree(cast::u32_to_usize(l))))
-                .sum::<u64>()
-        })
-        .collect();
-    crate::shard::shard_by_weights(&weights, shards)
+    shard::weighted_bounds(graph.len(), shards, |i| {
+        1 + graph
+            .neighbors(i)
+            .iter()
+            .map(|&l| cast::usize_to_u64(graph.degree(cast::u32_to_usize(l))))
+            .sum::<u64>()
+    })
 }
 
 impl LinkTable {
@@ -225,30 +226,24 @@ impl LinkTable {
     }
 
     /// Computes all pairwise link counts from a neighbor graph
-    /// (single-threaded).
+    /// (single-threaded, no telemetry, no budget).
     pub fn compute(graph: &NeighborGraph) -> Self {
-        Self::compute_observed(graph, 1, &Observer::new())
+        Self::compute_guarded(graph, 1, &Observer::new(), &Guard::unlimited()).0
     }
 
-    /// [`compute`](Self::compute) with telemetry, sharded over `threads`
-    /// workers (`0` = one per available CPU, capped; tiny inputs stay
-    /// single-threaded): inner-kernel visits (the paper's `Σ deg²` cost
-    /// measure) and stored entries flow into `observer`'s counters, and
-    /// the finished table's size into its memory gauge. The result is
-    /// byte-identical for every thread count.
-    pub fn compute_observed(graph: &NeighborGraph, threads: usize, observer: &Observer) -> Self {
-        let (table, _) = Self::compute_guarded(graph, threads, observer, &Guard::unlimited());
-        table
-    }
-
-    /// [`compute_observed`](Self::compute_observed) under an execution
-    /// [`Guard`]: every worker polls [`Guard::checkpoint`] each
-    /// [`GUARD_STRIDE`] rows and flushes its stored-entry tally into the
-    /// link-table memory gauge, so budget trips and cancellation stop the
-    /// kernel mid-phase. On a trip the partially filled table is returned
-    /// together with the trip; counters then cover the completed prefix
-    /// only and the caller is expected to discard the partial table
-    /// (the pipeline degrades to an all-outlier partition).
+    /// [`compute`](Self::compute) sharded over `threads` workers (`0` =
+    /// one per available CPU, capped; tiny inputs stay single-threaded),
+    /// with telemetry and under an execution [`Guard`]. Inner-kernel
+    /// visits (the paper's `Σ deg²` cost measure) and stored entries flow
+    /// into `observer`'s counters, and the finished table's size into its
+    /// memory gauge; the result is byte-identical for every thread count.
+    /// Every worker polls [`Guard::checkpoint`] each [`GUARD_STRIDE`] rows
+    /// and flushes its stored-entry tally into the link-table memory
+    /// gauge, so budget trips and cancellation stop the kernel mid-phase.
+    /// On a trip the partially filled table is returned together with the
+    /// trip; counters then cover the completed prefix only and the caller
+    /// is expected to discard the partial table (the pipeline degrades to
+    /// an all-outlier partition).
     pub fn compute_guarded(
         graph: &NeighborGraph,
         threads: usize,
@@ -256,7 +251,7 @@ impl LinkTable {
         guard: &Guard,
     ) -> (Self, Option<Trip>) {
         let n = graph.len();
-        let threads = crate::neighbors::effective_threads(threads, n);
+        let bounds = shard_boundaries(graph, shard::effective_threads(threads, n));
         let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         let state = ShardState {
             stop: AtomicBool::new(false),
@@ -264,58 +259,22 @@ impl LinkTable {
             observer,
             guard,
         };
+        let results = shard::fan_out(&mut rows, &bounds, |worker, start, slice| {
+            compute_range(graph, worker, start, slice, &state)
+        });
         let mut kernel_steps = 0u64;
         let mut entries = 0u64;
         let mut trip: Option<Trip> = None;
-        if threads <= 1 {
-            let result = compute_range(graph, 0, 0, &mut rows, &state);
-            kernel_steps = result.kernel_steps;
-            entries = result.entries;
-            trip = result.trip;
+        for (w, result) in results.into_iter().enumerate() {
+            kernel_steps += result.kernel_steps;
+            entries += result.entries;
+            trip = trip.or(result.trip);
             if result.batch_ns.count() > 0 {
-                observer
-                    .tracer()
-                    .record_hist("links.shard_ns", Some(0), &result.batch_ns);
-            }
-        } else {
-            let bounds = shard_boundaries(graph, threads);
-            // Per-worker tallies come back through the join handles and
-            // are summed in spawn (= row-range) order, so the flushed
-            // totals are deterministic for every thread count.
-            let results = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                let mut rest: &mut [Vec<(u32, u32)>] = &mut rows;
-                let mut prev = 0usize;
-                for w in 0..threads {
-                    let (slice, tail) = rest.split_at_mut(bounds[w + 1] - prev);
-                    rest = tail;
-                    let start = prev;
-                    prev = bounds[w + 1];
-                    let state = &state;
-                    let worker = cast::usize_to_u64(w);
-                    handles.push(
-                        scope.spawn(move || compute_range(graph, worker, start, slice, state)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(result) => result,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for (w, result) in results.into_iter().enumerate() {
-                kernel_steps += result.kernel_steps;
-                entries += result.entries;
-                trip = trip.or(result.trip);
-                if result.batch_ns.count() > 0 {
-                    observer.tracer().record_hist(
-                        "links.shard_ns",
-                        Some(cast::usize_to_u64(w)),
-                        &result.batch_ns,
-                    );
-                }
+                observer.tracer().record_hist(
+                    "links.shard_ns",
+                    Some(cast::usize_to_u64(w)),
+                    &result.batch_ns,
+                );
             }
         }
         let table = LinkTable { rows };
@@ -532,7 +491,7 @@ mod tests {
     }
 
     /// A random graph with enough rows to clear the tiny-input
-    /// single-thread cutoff in [`effective_threads`], plus skewed
+    /// single-thread cutoff in [`shard::effective_threads`], plus skewed
     /// degrees so shard boundaries actually move with the weights.
     fn random_graph(seed: u64) -> NeighborGraph {
         let mut rng = crate::rng::Rng::seed_from_u64(seed);
@@ -555,11 +514,11 @@ mod tests {
         for seed in 0..CASES {
             let g = random_graph(seed);
             let base_obs = Observer::new();
-            let base = LinkTable::compute_observed(&g, 1, &base_obs);
+            let (base, _) = LinkTable::compute_guarded(&g, 1, &base_obs, &Guard::unlimited());
             let base_counters = base_obs.counters().snapshot();
             for threads in [2usize, 4, 8] {
                 let obs = Observer::new();
-                let t = LinkTable::compute_observed(&g, threads, &obs);
+                let (t, _) = LinkTable::compute_guarded(&g, threads, &obs, &Guard::unlimited());
                 assert_eq!(t, base, "seed {seed}, threads {threads}");
                 let c = obs.counters().snapshot();
                 assert_eq!(
@@ -626,7 +585,7 @@ mod tests {
         // The workers stopped early: strictly fewer kernel steps than the
         // full run performs on this graph.
         let full_obs = Observer::new();
-        let _ = LinkTable::compute_observed(&g, 1, &full_obs);
+        let _ = LinkTable::compute_guarded(&g, 1, &full_obs, &Guard::unlimited());
         let partial = observer.counters().snapshot().link_kernel_steps;
         let full = full_obs.counters().snapshot().link_kernel_steps;
         assert!(partial < full, "partial {partial} vs full {full}");

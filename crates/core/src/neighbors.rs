@@ -8,8 +8,8 @@
 //! Computing the graph is the `O(n²)` hot spot of ROCK. Two kernels are
 //! available behind [`JoinStrategy`]:
 //!
-//! * **Brute force** — every ordered pair, rows chunked over a small
-//!   scoped thread pool. Works for any [`Similarity`]; kept as the
+//! * **Brute force** — every ordered pair, rows chunked equally over
+//!   [`shard::fan_out`] workers. Works for any [`Similarity`]; kept as the
 //!   oracle the index kernel is tested against and as the path for
 //!   tiny inputs and custom measures.
 //! * **Inverted-index join** ([`index`], DESIGN.md §17) — for the
@@ -25,12 +25,13 @@
 
 mod index;
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cast;
 use crate::data::TransactionSet;
 use crate::error::{Result, RockError};
 use crate::guard::{Guard, Trip};
+use crate::shard;
 use crate::similarity::Similarity;
 use crate::telemetry::trace::Payload;
 use crate::telemetry::{MemoryEstimate, MemoryGauges, Observer, Phase, PipelineCounters};
@@ -66,7 +67,7 @@ pub struct NeighborGraph {
 impl NeighborGraph {
     /// Computes the neighbor graph of `data` under `sim` with threshold
     /// `theta`, using `threads` worker threads (`0` = one per available
-    /// CPU, capped at 16).
+    /// CPU, capped at 16), with no telemetry and no budget.
     ///
     /// # Errors
     /// * [`RockError::InvalidTheta`] unless `0 < θ < 1`.
@@ -77,35 +78,32 @@ impl NeighborGraph {
         theta: f64,
         threads: usize,
     ) -> Result<Self> {
-        Self::compute_observed(data, sim, theta, threads, &Observer::new())
-    }
-
-    /// [`compute`](Self::compute) with telemetry: similarity comparisons
-    /// and stored edges flow into `observer`'s counters, the finished
-    /// graph's size into its memory gauge, and [`Phase::Neighbors`]
-    /// progress events to its sink. Kernel selection is
-    /// [`JoinStrategy::Auto`].
-    pub fn compute_observed<S: Similarity>(
-        data: &TransactionSet,
-        sim: &S,
-        theta: f64,
-        threads: usize,
-        observer: &Observer,
-    ) -> Result<Self> {
         // An unlimited guard never trips, so the graph is always complete.
-        let (graph, _) =
-            Self::compute_guarded(data, sim, theta, threads, observer, &Guard::unlimited())?;
-        Ok(graph)
+        Self::compute_guarded(
+            data,
+            sim,
+            theta,
+            threads,
+            &Observer::new(),
+            &Guard::unlimited(),
+        )
+        .map(|(graph, _)| graph)
     }
 
-    /// [`compute_observed`](Self::compute_observed) under an execution
-    /// [`Guard`] with [`JoinStrategy::Auto`] kernel selection. On the
-    /// index path every worker polls [`Guard::checkpoint`] every few
-    /// rows, so budget trips and cancellation stop the kernel mid-phase;
-    /// the partially filled graph is returned together with the trip and
-    /// the caller is expected to discard it (the pipeline degrades to an
+    /// [`compute`](Self::compute) with telemetry, under an execution
+    /// [`Guard`], with [`JoinStrategy::Auto`] kernel selection: similarity
+    /// comparisons and stored edges flow into `observer`'s counters, the
+    /// finished graph's size into its memory gauge, and
+    /// [`Phase::Neighbors`] progress events to its sink. On the index
+    /// path every worker polls [`Guard::checkpoint`] every few rows, so
+    /// budget trips and cancellation stop the kernel mid-phase; the
+    /// partially filled graph is returned together with the trip and the
+    /// caller is expected to discard it (the pipeline degrades to an
     /// all-outlier partition). The brute-force path checks the guard only
     /// at phase boundaries.
+    ///
+    /// # Errors
+    /// Same as [`compute`](Self::compute).
     pub fn compute_guarded<S: Similarity>(
         data: &TransactionSet,
         sim: &S,
@@ -151,7 +149,7 @@ impl NeighborGraph {
         if n == 0 {
             return Err(RockError::EmptyDataset);
         }
-        let threads = effective_threads(threads, n);
+        let threads = shard::effective_threads(threads, n);
         let use_index = match strategy {
             JoinStrategy::Auto => n >= INDEX_MIN_N,
             JoinStrategy::Index => true,
@@ -179,31 +177,10 @@ impl NeighborGraph {
 
     /// The brute-force `O(n²)` scan, for any [`Similarity`] — the oracle
     /// the index join is verified against, and the kernel behind
-    /// [`JoinStrategy::BruteForce`].
-    ///
-    /// # Errors
-    /// * [`RockError::InvalidTheta`] unless `0 < θ < 1`.
-    /// * [`RockError::EmptyDataset`] for an empty input.
-    pub fn compute_brute_force<S: Similarity>(
-        data: &TransactionSet,
-        sim: &S,
-        theta: f64,
-        threads: usize,
-        observer: &Observer,
-    ) -> Result<Self> {
-        if !(theta > 0.0 && theta < 1.0) {
-            return Err(RockError::InvalidTheta(theta));
-        }
-        let n = data.len();
-        if n == 0 {
-            return Err(RockError::EmptyDataset);
-        }
-        let threads = effective_threads(threads, n);
-        Ok(Self::brute_force_scan(data, sim, theta, threads, observer))
-    }
-
-    /// Scans all ordered pairs with `threads` pre-resolved workers and
-    /// publishes the finished graph's footprint to the memory gauge.
+    /// [`JoinStrategy::BruteForce`]. Rows go to `threads` pre-resolved
+    /// workers in equal contiguous chunks; each worker writes its own
+    /// slice of the lists and flushes its counters once. Publishes the
+    /// finished graph's footprint to the memory gauge.
     fn brute_force_scan<S: Similarity>(
         data: &TransactionSet,
         sim: &S,
@@ -214,73 +191,40 @@ impl NeighborGraph {
         let n = data.len();
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
         let counters = observer.counters();
-        if threads <= 1 {
-            let span = observer.tracer().begin();
-            let mut edges = 0u64;
-            for (i, out) in lists.iter_mut().enumerate() {
-                fill_row(data, sim, theta, i, out);
-                edges += cast::usize_to_u64(out.len());
-            }
-            // Every row evaluates sim() against all n−1 other points.
-            PipelineCounters::add(
-                &counters.similarity_comparisons,
-                cast::usize_to_u64(n) * cast::usize_to_u64(n - 1),
-            );
-            PipelineCounters::add(&counters.neighbor_edges, edges);
-            if let Some(s) = span {
-                observer.tracer().end(
-                    s,
-                    "neighbors.scan",
-                    Some(Phase::Neighbors),
-                    0,
-                    Payload::new()
-                        .count("start", 0)
-                        .count("rows", cast::usize_to_u64(n))
-                        .count("edges", edges),
-                );
-            }
-        } else {
-            // Chunk rows contiguously; each worker writes its own disjoint
-            // slice of `lists`, so no synchronization is needed. Counters
-            // are flushed once per chunk, not per row.
-            let chunk = n.div_ceil(threads);
-            let done_rows = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for (c, slice) in lists.chunks_mut(chunk).enumerate() {
-                    let start = c * chunk;
-                    let done_rows = &done_rows;
-                    scope.spawn(move || {
-                        let span = observer.tracer().begin();
-                        let mut edges = 0u64;
-                        for (off, out) in slice.iter_mut().enumerate() {
-                            fill_row(data, sim, theta, start + off, out);
-                            edges += cast::usize_to_u64(out.len());
-                        }
-                        let rows = cast::usize_to_u64(slice.len());
-                        PipelineCounters::add(
-                            &counters.similarity_comparisons,
-                            rows * cast::usize_to_u64(n - 1),
-                        );
-                        PipelineCounters::add(&counters.neighbor_edges, edges);
-                        if let Some(s) = span {
-                            observer.tracer().end(
-                                s,
-                                "neighbors.scan",
-                                Some(Phase::Neighbors),
-                                cast::usize_to_u64(c),
-                                Payload::new()
-                                    .count("start", cast::usize_to_u64(start))
-                                    .count("rows", rows)
-                                    .count("edges", edges),
-                            );
-                        }
-                        let done =
-                            rows + done_rows.fetch_add(rows, std::sync::atomic::Ordering::Relaxed);
-                        observer.progress(Phase::Neighbors, done, cast::usize_to_u64(n));
-                    });
+        let done_rows = AtomicU64::new(0);
+        shard::fan_out(
+            &mut lists,
+            &shard::equal_bounds(n, threads),
+            |worker, start, slice| {
+                let span = observer.tracer().begin();
+                let mut edges = 0u64;
+                for (off, out) in slice.iter_mut().enumerate() {
+                    fill_row(data, sim, theta, start + off, out);
+                    edges += cast::usize_to_u64(out.len());
                 }
-            });
-        }
+                // Every row evaluates sim() against all n−1 other points.
+                let rows = cast::usize_to_u64(slice.len());
+                PipelineCounters::add(
+                    &counters.similarity_comparisons,
+                    rows * cast::usize_to_u64(n - 1),
+                );
+                PipelineCounters::add(&counters.neighbor_edges, edges);
+                if let Some(s) = span {
+                    observer.tracer().end(
+                        s,
+                        "neighbors.scan",
+                        Some(Phase::Neighbors),
+                        worker,
+                        Payload::new()
+                            .count("start", cast::usize_to_u64(start))
+                            .count("rows", rows)
+                            .count("edges", edges),
+                    );
+                }
+                let done = rows + done_rows.fetch_add(rows, Ordering::Relaxed);
+                observer.progress(Phase::Neighbors, done, cast::usize_to_u64(n));
+            },
+        );
         let graph = NeighborGraph { lists, theta };
         MemoryGauges::observe(
             &observer.memory().neighbor_graph,
@@ -400,23 +344,6 @@ fn fill_row<S: Similarity>(
     }
 }
 
-/// Resolves a `threads` request: `0` means auto (one per CPU, capped), and
-/// tiny inputs stay single-threaded to avoid spawn overhead. Shared by
-/// every row-sharded phase (neighbors, links, labeling) so one knob means
-/// the same thing everywhere.
-pub(crate) fn effective_threads(requested: usize, n: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16);
-    let t = if requested == 0 { hw } else { requested };
-    if n < 256 {
-        1
-    } else {
-        t.min(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +435,46 @@ mod tests {
     }
 
     #[test]
+    fn brute_scan_reports_progress_at_every_worker_count() {
+        use crate::telemetry::{Event, Level, RecordingSink};
+        use std::sync::Arc;
+        // 300 rows clear the single-thread cutoff, so two workers run two
+        // equal chunks; one worker runs all rows inline.
+        let data: TransactionSet = (0..300u32)
+            .map(|i| Transaction::new([i % 7, 7 + i % 5]))
+            .collect();
+        for threads in [1usize, 2] {
+            let sink = Arc::new(RecordingSink::new());
+            let observer = Observer::with_sink(sink.clone(), Level::Info);
+            NeighborGraph::compute_strategy(
+                &data,
+                &Jaccard,
+                0.5,
+                threads,
+                &observer,
+                &Guard::unlimited(),
+                JoinStrategy::BruteForce,
+            )
+            .unwrap();
+            let mut done: Vec<u64> = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Progress {
+                        phase: Phase::Neighbors,
+                        done,
+                        total: 300,
+                    } => Some(*done),
+                    _ => None,
+                })
+                .collect();
+            done.sort_unstable();
+            assert_eq!(done.len(), threads, "one event per worker");
+            assert_eq!(done.last(), Some(&300), "threads {threads}");
+        }
+    }
+
+    #[test]
     fn degree_stats() {
         let data = set(&[&[&[0, 1], &[0, 1], &[0, 1], &[9]]]);
         let g = NeighborGraph::compute(&data, &Jaccard, 0.9, 1).unwrap();
@@ -545,12 +512,5 @@ mod tests {
         let r = g.restricted(&[0, 3]);
         assert_eq!(r.neighbors(0), &[] as &[u32]);
         assert_eq!(r.neighbors(1), &[] as &[u32]);
-    }
-
-    #[test]
-    fn effective_threads_resolution() {
-        assert_eq!(super::effective_threads(4, 100), 1); // tiny input
-        assert_eq!(super::effective_threads(4, 1000), 4);
-        assert!(super::effective_threads(0, 1000) >= 1);
     }
 }

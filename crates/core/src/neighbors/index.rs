@@ -25,9 +25,9 @@
 //!   cosine alike because it evaluates the measure itself.
 //! * **Bounded verification** — survivors are checked in the threshold
 //!   form `|Ti ∩ Tj| ≥ t_min(a, b)` (a table lookup over the distinct
-//!   lengths). Vocabularies up to [`DENSE_VOCAB_MAX`] verify on a
-//!   bit-packed rank matrix (`AND` + popcount, the `DenseReps` trick);
-//!   larger ones use a sorted merge that exits at the `t_min`-th match
+//!   lengths). Vocabularies up to [`MAX_DENSE_UNIVERSE`] verify on a
+//!   bit-packed rank matrix (`AND` + popcount, as the labeling index
+//!   does); larger ones use a sorted merge that exits at the `t_min`-th match
 //!   or as soon as the remainder cannot reach it. Either way the
 //!   decision is exactly the brute predicate's.
 //! * **Empty rows** — kept out of the index and handled by predicate:
@@ -35,7 +35,7 @@
 //!   the overlap coefficient, which makes empty rows neighbor
 //!   everything; 0.0 elsewhere) and empty↔empty pairs are similarity 1.
 //!
-//! Candidate generation shards across scoped workers exactly like the
+//! Candidate generation shards over [`shard::fan_out`] exactly like the
 //! link kernel (DESIGN.md §13): contiguous row ranges balanced by the
 //! estimated candidate work, disjoint output slices, [`Guard`] polling
 //! every [`GUARD_STRIDE`] rows, posting/edge bytes streamed into the
@@ -47,6 +47,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::cast;
 use crate::data::TransactionSet;
 use crate::guard::{Guard, Trip};
+use crate::labeling::MAX_DENSE_UNIVERSE;
+use crate::shard;
 use crate::snapshot::SimilarityKind;
 use crate::telemetry::trace::{LatencyHistogram, Payload};
 use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
@@ -56,12 +58,6 @@ use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
 /// the link kernel, for the same reason: responsive trips at a cost
 /// that does not register next to the kernel work.
 const GUARD_STRIDE: usize = 64;
-
-/// Largest vocabulary that still gets bit-packed rows for verification
-/// — same cutoff as `labeling::DenseReps`, for the same reason: at
-/// ≤ 4096 items a row is at most 64 words and the exact intersection
-/// is a handful of `AND` + popcount steps instead of a sorted merge.
-const DENSE_VOCAB_MAX: usize = 4096;
 
 /// The smallest integer intersection `t` with
 /// `sim_from_counts(t, a, b) ≥ θ`, or `None` when even the best possible
@@ -111,7 +107,7 @@ struct JoinIndex {
     /// prunes those pairs before the table is consulted).
     tmin_tab: Vec<u32>,
     /// Bit-matrix words per row (0 when the vocabulary exceeds
-    /// [`DENSE_VOCAB_MAX`] and verification falls back to the merge).
+    /// [`MAX_DENSE_UNIVERSE`] and verification falls back to the merge).
     words_per_row: usize,
     /// Row-major bit matrix over ranks: row `i` occupies
     /// `dense[i·words_per_row..(i+1)·words_per_row]`.
@@ -306,9 +302,9 @@ fn build(
     }
 
     // Pass 5: each row's prefix ranks (its π(len) smallest-ranked
-    // items) and, for vocabularies up to DENSE_VOCAB_MAX, the bit
+    // items) and, for vocabularies up to MAX_DENSE_UNIVERSE, the bit
     // matrix over full ranked rows that verification popcounts.
-    let words_per_row = if num_items <= DENSE_VOCAB_MAX {
+    let words_per_row = if num_items <= MAX_DENSE_UNIVERSE {
         num_items.div_ceil(64)
     } else {
         0
@@ -630,20 +626,17 @@ pub(super) fn compute(
     // Estimated candidate work per row: posting lengths over the probe
     // prefix (empty rows scan the length table instead). Purely a
     // function of the index, so the shard partition is deterministic.
-    let weights: Vec<u64> = (0..n)
-        .map(|i| {
-            if index.lengths[i] == 0 {
-                1 + cast::usize_to_u64(n)
-            } else {
-                1 + index
-                    .prefix_ranks(i)
-                    .iter()
-                    .map(|&r| cast::usize_to_u64(index.posting(r).len()))
-                    .sum::<u64>()
-            }
-        })
-        .collect();
-
+    let bounds = shard::weighted_bounds(n, threads, |i| {
+        if index.lengths[i] == 0 {
+            1 + cast::usize_to_u64(n)
+        } else {
+            1 + index
+                .prefix_ranks(i)
+                .iter()
+                .map(|&r| cast::usize_to_u64(index.posting(r).len()))
+                .sum::<u64>()
+        }
+    });
     let state = ProbeState {
         stop: AtomicBool::new(false),
         partial_edges: AtomicU64::new(0),
@@ -653,65 +646,26 @@ pub(super) fn compute(
         observer,
         guard,
     };
+    let results = shard::fan_out(&mut lists, &bounds, |worker, start, slice| {
+        probe_range(data, &index, kind, theta, worker, start, slice, &state)
+    });
     let mut candidates = 0u64;
     let mut pruned = 0u64;
     let mut verified = 0u64;
     let mut edges = 0u64;
     let mut trip: Option<Trip> = None;
-    if threads <= 1 {
-        let result = probe_range(data, &index, kind, theta, 0, 0, &mut lists, &state);
-        candidates = result.candidates;
-        pruned = result.pruned;
-        verified = result.verified;
-        edges = result.edges;
-        trip = result.trip;
+    for (w, result) in results.into_iter().enumerate() {
+        candidates += result.candidates;
+        pruned += result.pruned;
+        verified += result.verified;
+        edges += result.edges;
+        trip = trip.or(result.trip);
         if result.batch_ns.count() > 0 {
-            observer
-                .tracer()
-                .record_hist("neighbors.probe_ns", Some(0), &result.batch_ns);
-        }
-    } else {
-        let bounds = crate::shard::shard_by_weights(&weights, threads);
-        // Per-worker tallies come back through the join handles and are
-        // summed in spawn (= row-range) order, so the flushed totals are
-        // deterministic for every thread count.
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            let mut rest: &mut [Vec<u32>] = &mut lists;
-            let mut prev = 0usize;
-            for w in 0..threads {
-                let (slice, tail) = rest.split_at_mut(bounds[w + 1] - prev);
-                rest = tail;
-                let start = prev;
-                prev = bounds[w + 1];
-                let state = &state;
-                let index = &index;
-                let worker = cast::usize_to_u64(w);
-                handles.push(scope.spawn(move || {
-                    probe_range(data, index, kind, theta, worker, start, slice, state)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect::<Vec<_>>()
-        });
-        for (w, result) in results.into_iter().enumerate() {
-            candidates += result.candidates;
-            pruned += result.pruned;
-            verified += result.verified;
-            edges += result.edges;
-            trip = trip.or(result.trip);
-            if result.batch_ns.count() > 0 {
-                observer.tracer().record_hist(
-                    "neighbors.probe_ns",
-                    Some(cast::usize_to_u64(w)),
-                    &result.batch_ns,
-                );
-            }
+            observer.tracer().record_hist(
+                "neighbors.probe_ns",
+                Some(cast::usize_to_u64(w)),
+                &result.batch_ns,
+            );
         }
     }
     // Deterministic closing observe: every mid-probe poll reported

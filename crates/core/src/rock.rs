@@ -241,6 +241,19 @@ pub struct PhaseTimings {
     pub total: Duration,
 }
 
+impl PhaseTimings {
+    /// The phase walls `observer` accumulated, and the time since `start`.
+    fn of(observer: &Observer, start: Instant) -> Self {
+        PhaseTimings {
+            neighbors: observer.phase_wall(Phase::Neighbors),
+            links: observer.phase_wall(Phase::Links),
+            merge: observer.phase_wall(Phase::Agglomerate),
+            labeling: observer.phase_wall(Phase::Labeling),
+            total: start.elapsed(),
+        }
+    }
+}
+
 /// Run statistics reported alongside the clustering.
 #[derive(Debug, Clone, Default)]
 pub struct RockStats {
@@ -400,13 +413,7 @@ fn degraded_all_outliers(
     let outliers: Vec<u32> = (0..n).map(cast::usize_to_u32).collect();
     contracts::check_partition(&assignments, &outliers);
     let stats = RockStats {
-        timings: PhaseTimings {
-            neighbors: observer.phase_wall(Phase::Neighbors),
-            links: observer.phase_wall(Phase::Links),
-            merge: observer.phase_wall(Phase::Agglomerate),
-            labeling: observer.phase_wall(Phase::Labeling),
-            total: start.elapsed(),
-        },
+        timings: PhaseTimings::of(observer, start),
         ..RockStats::default()
     };
     Outcome::Degraded {
@@ -422,6 +429,27 @@ fn degraded_all_outliers(
     }
 }
 
+/// Runs one pipeline phase: an [`Observer::phase`] span around `body`
+/// and, when tracing, a `phase` scope closed with the payload `body`
+/// returns. An error from `body` propagates before the scope is closed,
+/// so a failed phase writes no `phase` record.
+fn run_phase<T>(
+    observer: &Observer,
+    phase: Phase,
+    body: impl FnOnce() -> Result<(T, Payload)>,
+) -> Result<T> {
+    let span = observer.phase(phase);
+    let scope = observer.tracer().begin_scope();
+    let (value, payload) = body()?;
+    if let Some(scope) = scope {
+        observer
+            .tracer()
+            .end_scope(scope, "phase", Some(phase), payload);
+    }
+    span.finish();
+    Ok(value)
+}
+
 impl<S: Similarity, F: LinkExponent> Rock<S, F> {
     /// The configuration in use.
     pub fn config(&self) -> &RockConfig {
@@ -435,31 +463,25 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
     /// ([`RockError::InvalidTheta`], [`RockError::InvalidK`],
     /// [`RockError::EmptyDataset`], [`RockError::EmptySample`], …).
     pub fn fit(&self, data: &TransactionSet) -> Result<RockModel> {
-        self.fit_observed(data, &Observer::new())
-    }
-
-    /// [`fit`](Self::fit) with telemetry: every pipeline phase runs under
-    /// an [`Observer`] span, hot-path counters and memory gauges fill in,
-    /// and phase/progress events stream to the observer's sink. Collect a
-    /// [`Metrics`](crate::telemetry::Metrics) document from the observer
-    /// afterwards for machine-readable export.
-    ///
-    /// # Errors
-    /// Same as [`fit`](Self::fit).
-    pub fn fit_observed(&self, data: &TransactionSet, observer: &Observer) -> Result<RockModel> {
         Ok(self
-            .fit_guarded(data, observer, &Guard::unlimited())?
+            .fit_guarded(data, &Observer::new(), &Guard::unlimited())?
             .into_model())
     }
 
-    /// [`fit_observed`](Self::fit_observed) under an execution [`Guard`]:
-    /// budgets and cancellation are checked at every contract-instrumented
-    /// phase boundary and inside the agglomeration merge loop. When the
-    /// guard trips, the pipeline stops early and returns
-    /// [`Outcome::Degraded`] carrying the best valid partition built so
-    /// far plus a [`Degradation`] report — never a panic, and never a bare
-    /// error. Points the pipeline never assigned are swept into the
-    /// outlier set so the partition invariants still hold.
+    /// [`fit`](Self::fit) with telemetry and under an execution [`Guard`].
+    /// Every pipeline phase runs under an [`Observer`] span, hot-path
+    /// counters and memory gauges fill in, and phase/progress events
+    /// stream to the observer's sink; collect a
+    /// [`Metrics`](crate::telemetry::Metrics) document from the observer
+    /// afterwards for machine-readable export. Budgets and cancellation
+    /// are checked at every contract-instrumented phase boundary and
+    /// inside the agglomeration merge loop. When the guard trips, the
+    /// pipeline stops early and returns [`Outcome::Degraded`] carrying the
+    /// best valid partition built so far plus a [`Degradation`] report —
+    /// never a panic, and never a bare error. Points the pipeline never
+    /// assigned are swept into the outlier set so the partition
+    /// invariants still hold. Under [`Guard::unlimited`] the outcome is
+    /// always [`Outcome::Complete`].
     ///
     /// # Errors
     /// Same validation errors as [`fit`](Self::fit). Budget exhaustion and
@@ -492,7 +514,6 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
         result
     }
 
-    #[allow(clippy::needless_range_loop)] // assignments/outliers are index-aligned
     fn fit_guarded_inner(
         &self,
         data: &TransactionSet,
@@ -515,61 +536,47 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
         let mut rng = seeded_rng(self.config.seed);
 
         // ── Phase 1: sample ────────────────────────────────────────────
-        let span = observer.phase(Phase::Sample);
-        let tspan = observer.tracer().begin_scope();
-        let sample_indices: Vec<usize> = match self.config.sample {
-            SampleStrategy::All => (0..n).collect(),
-            SampleStrategy::Fixed(s) => sample_indices(n, s.min(n).max(1), &mut rng)?,
-            SampleStrategy::Chernoff { u_min, xi, delta } => {
-                let s = chernoff_sample_size(n, u_min, xi, delta)?.max(self.config.k);
-                sample_indices(n, s.min(n), &mut rng)?
-            }
-        };
-        let sample = data.subset(&sample_indices);
-        contracts::check_sample(&sample_indices, n);
-        PipelineCounters::add(
-            &observer.counters().points_sampled,
-            cast::usize_to_u64(sample_indices.len()),
-        );
-        observer.log(Level::Info, || {
-            format!("sampled {} of {n} points", sample_indices.len())
-        });
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Sample),
-                Payload::new().count("points", cast::usize_to_u64(sample_indices.len())),
-            );
-        }
-        span.finish();
+        let (sample_indices, sample) = run_phase(observer, Phase::Sample, || {
+            let sample_indices: Vec<usize> = match self.config.sample {
+                SampleStrategy::All => (0..n).collect(),
+                SampleStrategy::Fixed(s) => sample_indices(n, s.min(n).max(1), &mut rng)?,
+                SampleStrategy::Chernoff { u_min, xi, delta } => {
+                    let s = chernoff_sample_size(n, u_min, xi, delta)?.max(self.config.k);
+                    sample_indices(n, s.min(n), &mut rng)?
+                }
+            };
+            let sample = data.subset(&sample_indices);
+            contracts::check_sample(&sample_indices, n);
+            let points = cast::usize_to_u64(sample_indices.len());
+            PipelineCounters::add(&observer.counters().points_sampled, points);
+            observer.log(Level::Info, || {
+                format!("sampled {} of {n} points", sample_indices.len())
+            });
+            Ok((
+                (sample_indices, sample),
+                Payload::new().count("points", points),
+            ))
+        })?;
         if let Some(trip) = guard.checkpoint(Phase::Sample, observer) {
             return Ok(degraded_all_outliers(n, start, observer, guard, trip));
         }
 
         // ── Phase 2: neighbors on the sample ──────────────────────────
-        let span = observer.phase(Phase::Neighbors);
-        let tspan = observer.tracer().begin_scope();
         // The index-join kernel polls the guard from inside its build and
         // probe loops, so a trip stops the phase mid-flight; the partial
         // graph is discarded below and the run degrades.
-        let (graph, neighbors_trip) = NeighborGraph::compute_guarded(
-            &sample,
-            &self.sim,
-            self.config.theta,
-            self.config.threads,
-            observer,
-            guard,
-        )?;
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Neighbors),
-                Payload::new().count("edges", cast::usize_to_u64(graph.num_edges())),
-            );
-        }
-        span.finish();
+        let (graph, neighbors_trip) = run_phase(observer, Phase::Neighbors, || {
+            let (graph, trip) = NeighborGraph::compute_guarded(
+                &sample,
+                &self.sim,
+                self.config.theta,
+                self.config.threads,
+                observer,
+                guard,
+            )?;
+            let edges = cast::usize_to_u64(graph.num_edges());
+            Ok(((graph, trip), Payload::new().count("edges", edges)))
+        })?;
         if let Some(trip) = neighbors_trip.or_else(|| guard.checkpoint(Phase::Neighbors, observer))
         {
             return Ok(degraded_all_outliers(n, start, observer, guard, trip));
@@ -579,69 +586,54 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
         contracts::check_neighbor_graph(&graph);
 
         // Up-front outlier filter.
-        let span = observer.phase(Phase::Outliers);
-        let tspan = observer.tracer().begin_scope();
-        let (kept, filtered): (Vec<usize>, Vec<usize>) =
-            self.config.neighbor_filter.split_observed(&graph, observer);
-        contracts::check_outlier_split(&kept, &filtered, sample.len());
-        if kept.is_empty() {
-            return Err(RockError::EmptySample);
-        }
-        if kept.len() < self.config.k {
-            return Err(RockError::InvalidK {
-                k: self.config.k,
-                n: kept.len(),
-            });
-        }
-        let graph = if filtered.is_empty() {
-            graph
-        } else {
-            graph.restricted(&kept)
-        };
-        let clustered = if filtered.is_empty() {
-            sample.clone()
-        } else {
-            sample.subset(&kept)
-        };
-        let (avg_degree, max_degree) = graph.degree_stats();
-        observer.log(Level::Info, || {
-            format!(
-                "filtered {} isolated points; m_a = {avg_degree:.2}, m_m = {max_degree}",
-                filtered.len()
-            )
-        });
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Outliers),
-                Payload::new()
+        let (kept, filtered, graph, clustered, avg_degree, max_degree) =
+            run_phase(observer, Phase::Outliers, || {
+                let (kept, filtered): (Vec<usize>, Vec<usize>) =
+                    self.config.neighbor_filter.split_observed(&graph, observer);
+                contracts::check_outlier_split(&kept, &filtered, sample.len());
+                if kept.is_empty() {
+                    return Err(RockError::EmptySample);
+                }
+                if kept.len() < self.config.k {
+                    return Err(RockError::InvalidK {
+                        k: self.config.k,
+                        n: kept.len(),
+                    });
+                }
+                let (graph, clustered) = if filtered.is_empty() {
+                    (graph, sample.clone())
+                } else {
+                    (graph.restricted(&kept), sample.subset(&kept))
+                };
+                let (avg_degree, max_degree) = graph.degree_stats();
+                observer.log(Level::Info, || {
+                    format!(
+                        "filtered {} isolated points; m_a = {avg_degree:.2}, m_m = {max_degree}",
+                        filtered.len()
+                    )
+                });
+                let payload = Payload::new()
                     .count("kept", cast::usize_to_u64(kept.len()))
-                    .count("filtered", cast::usize_to_u64(filtered.len())),
-            );
-        }
-        span.finish();
+                    .count("filtered", cast::usize_to_u64(filtered.len()));
+                Ok((
+                    (kept, filtered, graph, clustered, avg_degree, max_degree),
+                    payload,
+                ))
+            })?;
         if let Some(trip) = guard.checkpoint(Phase::Outliers, observer) {
             return Ok(degraded_all_outliers(n, start, observer, guard, trip));
         }
 
         // ── Phase 3: links + merge ─────────────────────────────────────
-        let span = observer.phase(Phase::Links);
-        let tspan = observer.tracer().begin_scope();
         // The sharded kernel polls the guard from inside its worker
         // loops, so a trip stops the phase mid-flight; the partial table
         // is discarded and the run degrades like any other Links trip.
-        let (links, links_trip) =
-            LinkTable::compute_guarded(&graph, self.config.threads, observer, guard);
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Links),
-                Payload::new().count("entries", cast::usize_to_u64(links.num_entries())),
-            );
-        }
-        span.finish();
+        let (links, links_trip) = run_phase(observer, Phase::Links, || {
+            let (links, trip) =
+                LinkTable::compute_guarded(&graph, self.config.threads, observer, guard);
+            let entries = cast::usize_to_u64(links.num_entries());
+            Ok(((links, trip), Payload::new().count("entries", entries)))
+        })?;
         if let Some(trip) = links_trip.or_else(|| guard.checkpoint(Phase::Links, observer)) {
             return Ok(degraded_all_outliers(n, start, observer, guard, trip));
         }
@@ -649,48 +641,40 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
         let link_entries = links.num_entries();
 
         let goodness = Goodness::new(self.config.theta, &self.f)?;
-        let span = observer.phase(Phase::Agglomerate);
-        let tspan = observer.tracer().begin_scope();
-        let (agg, agg_trip) = agglomerate_guarded(
-            clustered.len(),
-            &links,
-            &goodness,
-            &AgglomerateConfig {
-                k: self.config.k,
-                prune: self.config.prune,
-                record_history: self.config.record_history,
-                min_goodness: self.config.min_goodness,
-            },
-            observer,
-            guard,
-        )?;
-        let mut trip = agg_trip;
-        MemoryGauges::observe(
-            &observer.memory().dendrogram,
-            cast::usize_to_u64(
-                std::mem::size_of::<crate::dendrogram::Dendrogram>()
-                    + agg.history.capacity() * std::mem::size_of::<MergeStep>(),
-            ),
-        );
-        observer.log(Level::Info, || {
-            format!(
-                "merged to {} clusters in {} steps (reached_k = {})",
-                agg.clusters.len(),
-                agg.merges,
-                agg.reached_k
-            )
-        });
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Agglomerate),
-                Payload::new()
-                    .count("merges", cast::usize_to_u64(agg.merges))
-                    .count("clusters", cast::usize_to_u64(agg.clusters.len())),
+        let (agg, mut trip) = run_phase(observer, Phase::Agglomerate, || {
+            let (agg, trip) = agglomerate_guarded(
+                clustered.len(),
+                &links,
+                &goodness,
+                &AgglomerateConfig {
+                    k: self.config.k,
+                    prune: self.config.prune,
+                    record_history: self.config.record_history,
+                    min_goodness: self.config.min_goodness,
+                },
+                observer,
+                guard,
+            )?;
+            MemoryGauges::observe(
+                &observer.memory().dendrogram,
+                cast::usize_to_u64(
+                    std::mem::size_of::<crate::dendrogram::Dendrogram>()
+                        + agg.history.capacity() * std::mem::size_of::<MergeStep>(),
+                ),
             );
-        }
-        span.finish();
+            observer.log(Level::Info, || {
+                format!(
+                    "merged to {} clusters in {} steps (reached_k = {})",
+                    agg.clusters.len(),
+                    agg.merges,
+                    agg.reached_k
+                )
+            });
+            let payload = Payload::new()
+                .count("merges", cast::usize_to_u64(agg.merges))
+                .count("clusters", cast::usize_to_u64(agg.clusters.len()));
+            Ok(((agg, trip), payload))
+        })?;
 
         // Map sample-local indices back to original dataset indices.
         // kept[i] = index into `sample`; sample_indices[kept[i]] = original.
@@ -720,76 +704,70 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
             .collect();
 
         // ── Phase 4: label points outside the clustered sample ────────
-        let span = observer.phase(Phase::Labeling);
-        let tspan = observer.tracer().begin_scope();
-        if trip.is_none() {
-            trip = guard.checkpoint(Phase::Labeling, observer);
-        }
-        if trip.is_none() && clustered.len() < n {
-            let in_sample: std::collections::HashSet<usize> =
-                kept.iter().map(|&i| sample_indices[i]).collect();
-            let reps =
-                Representatives::draw(&clustered, &agg.clusters, &self.config.labeling, &mut rng)?;
-            // Filtered sample points stay outliers per the paper; only
-            // points never seen by the clustering phase get labeled.
-            let fixed_outliers: std::collections::HashSet<u32> = outliers.iter().copied().collect();
-            let unlabeled: Vec<usize> = (0..n)
-                .filter(|&i| {
-                    !in_sample.contains(&i)
-                        && assignments[i].is_none()
-                        && !fixed_outliers.contains(&cast::usize_to_u32(i))
-                })
-                .collect();
-            // Indices come from `0..n`, so the lookup cannot fail; pairing
-            // each index with its transaction keeps the label zip aligned
-            // even if it ever did.
-            let labeled_points: Vec<(usize, &crate::data::Transaction)> = unlabeled
-                .iter()
-                .filter_map(|&i| data.transaction(i).map(|t| (i, t)))
-                .collect();
-            let points: Vec<&crate::data::Transaction> =
-                labeled_points.iter().map(|&(_, t)| t).collect();
-            let labels = crate::labeling::label_many_observed(
-                &points,
-                &reps,
-                &self.sim,
-                &self.f,
-                self.config.theta,
-                self.config.threads,
-                observer,
-            );
-            for (&(i, _), label) in labeled_points.iter().zip(labels) {
-                match label {
-                    Some(c) => {
-                        assignments[i] = Some(ClusterId(cast::usize_to_u32(c)));
-                        clusters[c].push(cast::usize_to_u32(i));
+        run_phase(observer, Phase::Labeling, || {
+            if trip.is_none() {
+                trip = guard.checkpoint(Phase::Labeling, observer);
+            }
+            if trip.is_none() && clustered.len() < n {
+                // Clustered sample points are assigned; filtered sample
+                // points stay outliers per the paper. Only points never
+                // seen by the clustering phase get labeled.
+                let mut settled = vec![false; n];
+                for &i in &kept {
+                    settled[sample_indices[i]] = true;
+                }
+                for &o in &outliers {
+                    settled[cast::u32_to_usize(o)] = true;
+                }
+                let reps = Representatives::draw(
+                    &clustered,
+                    &agg.clusters,
+                    &self.config.labeling,
+                    &mut rng,
+                )?;
+                // Rows come from `0..n`, so the lookup cannot fail;
+                // pairing each row with its transaction keeps the label
+                // zip aligned even if it ever did.
+                let rows: Vec<(usize, &crate::data::Transaction)> = (0..n)
+                    .filter(|&i| !settled[i])
+                    .filter_map(|i| data.transaction(i).map(|t| (i, t)))
+                    .collect();
+                let points: Vec<&crate::data::Transaction> = rows.iter().map(|&(_, t)| t).collect();
+                let labels = crate::labeling::label_many_observed(
+                    &points,
+                    &reps,
+                    &self.sim,
+                    &self.f,
+                    self.config.theta,
+                    self.config.threads,
+                    observer,
+                );
+                for (&(i, _), label) in rows.iter().zip(labels) {
+                    match label {
+                        Some(c) => {
+                            assignments[i] = Some(ClusterId(cast::usize_to_u32(c)));
+                            clusters[c].push(cast::usize_to_u32(i));
+                        }
+                        None => outliers.push(cast::usize_to_u32(i)),
                     }
-                    None => outliers.push(cast::usize_to_u32(i)),
+                }
+                for members in &mut clusters {
+                    members.sort_unstable();
                 }
             }
-            for members in &mut clusters {
-                members.sort_unstable();
-            }
-        }
-        if trip.is_some() {
-            // The run was cut short: every point the pipeline never
-            // assigned (skipped labeling, interrupted merges) becomes an
-            // outlier so the partition invariants below still hold.
-            for i in 0..n {
-                if assignments[i].is_none() {
-                    outliers.push(cast::usize_to_u32(i));
+            if trip.is_some() {
+                // The run was cut short: every point the pipeline never
+                // assigned (skipped labeling, interrupted merges) becomes
+                // an outlier so the partition invariants below still hold.
+                for (i, assignment) in assignments.iter().enumerate() {
+                    if assignment.is_none() {
+                        outliers.push(cast::usize_to_u32(i));
+                    }
                 }
             }
-        }
-        if let Some(ts) = tspan {
-            observer.tracer().end_scope(
-                ts,
-                "phase",
-                Some(Phase::Labeling),
-                Payload::new().count("outliers", cast::usize_to_u64(outliers.len())),
-            );
-        }
-        span.finish();
+            let payload = Payload::new().count("outliers", cast::usize_to_u64(outliers.len()));
+            Ok(((), payload))
+        })?;
 
         // Re-order clusters by decreasing final size and re-number.
         let mut order: Vec<usize> = (0..clusters.len()).collect();
@@ -818,13 +796,7 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
             merges: agg.merges,
             criterion: agg.criterion,
             reached_k: agg.reached_k,
-            timings: PhaseTimings {
-                neighbors: observer.phase_wall(Phase::Neighbors),
-                links: observer.phase_wall(Phase::Links),
-                merge: observer.phase_wall(Phase::Agglomerate),
-                labeling: observer.phase_wall(Phase::Labeling),
-                total: start.elapsed(),
-            },
+            timings: PhaseTimings::of(observer, start),
         };
         let model = RockModel {
             assignments,

@@ -46,9 +46,8 @@ pub struct Jaccard;
 
 impl Jaccard {
     /// The coefficient from precomputed set sizes. This is the single
-    /// definition [`Similarity::sim`] and the bit-packed labeling index
-    /// ([`crate::labeling::DenseReps`]) both evaluate, so the two paths
-    /// cannot drift.
+    /// definition [`Similarity::sim`], the bit-packed labeling index and
+    /// the neighbor join all evaluate, so the paths cannot drift.
     #[inline]
     #[must_use]
     pub fn from_counts(inter: usize, a_len: usize, b_len: usize) -> f64 {

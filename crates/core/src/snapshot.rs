@@ -46,9 +46,8 @@ use std::path::Path;
 use crate::cast;
 use crate::data::{AttrId, Transaction, TransactionSet, Vocabulary};
 use crate::error::{Result, RockError};
-use crate::goodness::ConstantExponent;
 use crate::hash::fnv1a64;
-use crate::labeling::{label_point, DenseReps, LabelingConfig, Representatives};
+use crate::labeling::{DenseReps, Labeler, LabelingConfig, Representatives};
 use crate::rock::RockModel;
 use crate::sampling::seeded_rng;
 use crate::similarity::{Cosine, Dice, Jaccard, Overlap, Similarity};
@@ -208,9 +207,10 @@ pub struct ModelSnapshot {
     universe: usize,
     vocabulary: Option<Vocabulary>,
     reps: Representatives,
-    /// Bit-packed representative index, built at construction for small
-    /// universes. Derived from `reps` — never rendered, never compared;
-    /// [`ModelSnapshot::label`] answers identically with or without it.
+    /// Bit-packed representative index, built at construction when every
+    /// representative item fits ([`DenseReps::build`]). Derived from
+    /// `reps` — never rendered, never compared; [`ModelSnapshot::label`]
+    /// answers identically with or without it.
     dense: Option<DenseReps>,
 }
 
@@ -242,7 +242,7 @@ impl ModelSnapshot {
             dense: None,
         };
         snapshot.validate()?;
-        snapshot.dense = DenseReps::build(&snapshot.reps, snapshot.universe);
+        snapshot.dense = DenseReps::build(&snapshot.reps, &snapshot.similarity);
         Ok(snapshot)
     }
 
@@ -370,76 +370,25 @@ impl ModelSnapshot {
     /// snapshot's outlier policy. Deterministic: no RNG, ties break to
     /// the lower cluster index.
     pub fn label(&self, point: &Transaction) -> Option<usize> {
-        let mut scratch = Vec::new();
-        let hit = self.hit_with(point, &mut scratch);
-        match (hit, self.policy) {
-            (Some(c), _) => Some(c),
-            (None, OutlierPolicy::Mark) => None,
-            (None, OutlierPolicy::Nearest) => self.nearest(point),
-        }
+        self.label_chunk(&[point], 1)[0]
     }
 
-    /// The §4.2 threshold rule without the outlier policy, through the
-    /// bit-packed index when one was built (small universes) and the
-    /// sorted-merge kernel otherwise. Both paths evaluate the same
-    /// `from_counts` similarity definitions on the same integer counts,
-    /// so the answer is identical either way.
-    fn hit_with(&self, point: &Transaction, scratch: &mut Vec<u64>) -> Option<usize> {
-        match &self.dense {
-            Some(dense) => {
-                dense.prepare_scratch(scratch);
-                dense.label_point(
-                    point,
-                    |inter, a, b| self.similarity.sim_from_counts(inter, a, b),
-                    self.theta,
-                    self.exponent,
-                    scratch,
-                )
-            }
-            None => label_point(
-                point,
-                &self.reps,
-                &self.similarity,
-                &ConstantExponent(self.exponent),
-                self.theta,
-            ),
-        }
-    }
-
-    /// Labels a chunk of points through the parallel labeling kernel
-    /// (`threads` workers over contiguous slices; `0` = one per CPU,
-    /// capped at 16), applying the snapshot's outlier policy to every
-    /// point. Deterministic: output order matches input order and is
+    /// Labels a chunk of points through the fit's labeling path (over the
+    /// index built at construction) and the parallel executor (`threads`
+    /// workers over contiguous slices; `0` = one per CPU, capped at 16),
+    /// applying the snapshot's outlier policy to every point.
+    /// Deterministic: output order matches input order and is
     /// independent of the thread count — the invariant the streaming
     /// checkpoint layer's byte-identical-resume guarantee rests on.
     pub fn label_chunk(&self, points: &[&Transaction], threads: usize) -> Vec<Option<usize>> {
-        let n = points.len();
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(16);
-        let threads = if threads == 0 { hw } else { threads };
-        let mut out = if threads <= 1 || n < 256 {
-            let mut scratch = Vec::new();
-            points
-                .iter()
-                .map(|p| self.hit_with(p, &mut scratch))
-                .collect()
-        } else {
-            let mut out: Vec<Option<usize>> = vec![None; n];
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (slice_in, slice_out) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        let mut scratch = Vec::new();
-                        for (p, o) in slice_in.iter().zip(slice_out.iter_mut()) {
-                            *o = self.hit_with(p, &mut scratch);
-                        }
-                    });
-                }
-            });
-            out
+        let labeler = Labeler {
+            reps: &self.reps,
+            dense: self.dense.as_ref(),
+            sim: &self.similarity,
+            theta: self.theta,
+            exponent: self.exponent,
         };
+        let mut out = labeler.label_many(points, threads);
         if self.policy == OutlierPolicy::Nearest {
             for (p, l) in points.iter().zip(out.iter_mut()) {
                 if l.is_none() {

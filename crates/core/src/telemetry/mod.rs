@@ -34,7 +34,10 @@
 //! ].into_iter().collect();
 //!
 //! let obs = Observer::new();
-//! let model = RockBuilder::new(2, 0.4).build().fit_observed(&data, &obs)?;
+//! let outcome = RockBuilder::new(2, 0.4)
+//!     .build()
+//!     .fit_guarded(&data, &obs, &Guard::unlimited())?;
+//! assert!(!outcome.is_degraded());
 //! let c = obs.counters().snapshot();
 //! assert_eq!(c.similarity_comparisons, 4 * 3); // every ordered pair
 //! assert!(obs.memory().snapshot().neighbor_graph > 0);

@@ -173,7 +173,9 @@ fn memory_budget_trips_mid_link_phase_under_parallel_workers() {
     // Measure the neighbor graph's footprint on an identical run, then
     // allow only a sliver beyond it: the link table cannot fit.
     let observer = Observer::new();
-    build().fit_observed(&data, &observer).unwrap();
+    build()
+        .fit_guarded(&data, &observer, &Guard::unlimited())
+        .unwrap();
     let neighbor_bytes = observer.memory().snapshot().neighbor_graph;
     assert!(neighbor_bytes > 0);
 

@@ -3,7 +3,7 @@
 //! streaming labeling.
 
 use rock::core::agglomerate::{agglomerate, AgglomerateConfig};
-use rock::core::labeling::{label_stream, Representatives};
+use rock::core::labeling::{label_many_observed, Representatives};
 use rock::core::metrics::matched_accuracy;
 use rock::core::summary::ClusterSummary;
 use rock::datasets::synthetic::{BasketModel, LatentClassModel, MushroomModel};
@@ -141,10 +141,16 @@ fn streaming_labeling_matches_batch_pipeline() {
         &mut rng,
     )
     .unwrap();
-    let streamed: Vec<Option<usize>> =
-        label_stream(data.iter().cloned(), &reps, &Jaccard, &MarketBasket, 0.8)
-            .map(|(_, l)| l)
-            .collect();
+    let points: Vec<&Transaction> = data.iter().collect();
+    let streamed = label_many_observed(
+        &points,
+        &reps,
+        &Jaccard,
+        &MarketBasket,
+        0.8,
+        1,
+        &Observer::new(),
+    );
     // Streamed labels should agree with the latent groups almost always.
     let pred: Vec<Option<u32>> = streamed.iter().map(|l| l.map(|c| c as u32)).collect();
     let acc = matched_accuracy(&pred, &groups).unwrap();

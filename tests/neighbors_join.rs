@@ -44,6 +44,21 @@ fn random_set(seed: u64) -> TransactionSet {
     rows.into_iter().collect()
 }
 
+/// The brute-force scan: the oracle every index run is compared with.
+fn brute<S: Similarity>(data: &TransactionSet, sim: &S, theta: f64) -> NeighborGraph {
+    let (graph, _) = NeighborGraph::compute_strategy(
+        data,
+        sim,
+        theta,
+        1,
+        &Observer::new(),
+        &Guard::unlimited(),
+        JoinStrategy::BruteForce,
+    )
+    .unwrap();
+    graph
+}
+
 fn lists_of(g: &NeighborGraph) -> Vec<Vec<u32>> {
     (0..g.len()).map(|i| g.neighbors(i).to_vec()).collect()
 }
@@ -54,9 +69,7 @@ fn indexed_join_is_byte_identical_to_the_brute_oracle() {
         let data = random_set(seed);
         for kind in KINDS {
             for theta in THETAS {
-                let oracle =
-                    NeighborGraph::compute_brute_force(&data, &kind, theta, 1, &Observer::new())
-                        .unwrap();
+                let oracle = brute(&data, &kind, theta);
                 let mut base_counters = None;
                 for threads in THREADS {
                     let obs = Observer::new();
@@ -159,15 +172,8 @@ fn auto_strategy_picks_the_index_only_for_large_counts_measures() {
     )
     .unwrap();
     assert_eq!(obs.counters().snapshot().neighbor_candidates, 0);
-    let brute = NeighborGraph::compute_brute_force(
-        &schema_rows,
-        &HammingRecord { num_attributes: 8 },
-        0.5,
-        1,
-        &Observer::new(),
-    )
-    .unwrap();
-    assert_eq!(lists_of(&forced), lists_of(&brute));
+    let oracle = brute(&schema_rows, &HammingRecord { num_attributes: 8 }, 0.5);
+    assert_eq!(lists_of(&forced), lists_of(&oracle));
 }
 
 #[test]
@@ -182,8 +188,7 @@ fn empty_transactions_follow_each_measures_empty_set_semantics() {
     rows[200] = Transaction::empty();
     let data: TransactionSet = rows.into_iter().collect();
     for kind in KINDS {
-        let oracle =
-            NeighborGraph::compute_brute_force(&data, &kind, 0.5, 1, &Observer::new()).unwrap();
+        let oracle = brute(&data, &kind, 0.5);
         let (joined, _) = NeighborGraph::compute_strategy(
             &data,
             &kind,
@@ -243,14 +248,7 @@ fn oversized_vocabulary_takes_the_merge_path_and_matches_the_oracle() {
         .collect();
     let data: TransactionSet = rows.into_iter().collect();
     for theta in [0.2, 0.5] {
-        let oracle = NeighborGraph::compute_brute_force(
-            &data,
-            &SimilarityKind::Jaccard,
-            theta,
-            1,
-            &Observer::new(),
-        )
-        .unwrap();
+        let oracle = brute(&data, &SimilarityKind::Jaccard, theta);
         for threads in [1, 4] {
             let (joined, trip) = NeighborGraph::compute_strategy(
                 &data,

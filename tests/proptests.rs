@@ -134,9 +134,12 @@ fn parallel_links_are_byte_identical_to_sequential() {
         let data = TransactionSet::new(rows, 30);
         let theta = rng.gen_range(0.1..0.9);
         let g = NeighborGraph::compute(&data, &Jaccard, theta, 1).unwrap();
-        let sequential = LinkTable::compute_observed(&g, 1, &Observer::new());
+        let links = |threads| {
+            LinkTable::compute_guarded(&g, threads, &Observer::new(), &Guard::unlimited()).0
+        };
+        let sequential = links(1);
         for threads in [2usize, 4, 8] {
-            let parallel = LinkTable::compute_observed(&g, threads, &Observer::new());
+            let parallel = links(threads);
             assert_eq!(parallel, sequential, "seed {seed}, threads {threads}");
         }
     }

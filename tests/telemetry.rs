@@ -12,7 +12,7 @@
 //! within a group has exactly one common neighbor, and the two groups
 //! share nothing.
 
-use rock::core::agglomerate::{agglomerate_observed, AgglomerateConfig};
+use rock::core::agglomerate::{agglomerate_guarded, AgglomerateConfig};
 use rock::core::labeling::label_many_observed;
 use rock::core::links::LinkTable;
 use rock::core::neighbors::NeighborGraph;
@@ -40,15 +40,18 @@ fn stage_counters_match_hand_computed_values() {
     let data = fixture();
     let observer = Observer::new();
 
-    let graph = NeighborGraph::compute_observed(&data, &Jaccard, THETA, 1, &observer).unwrap();
-    let links = LinkTable::compute_observed(&graph, 1, &observer);
+    let guard = Guard::unlimited();
+    let (graph, _) =
+        NeighborGraph::compute_guarded(&data, &Jaccard, THETA, 1, &observer, &guard).unwrap();
+    let (links, _) = LinkTable::compute_guarded(&graph, 1, &observer, &guard);
     let goodness = Goodness::new(THETA, &MarketBasket).unwrap();
-    let agg = agglomerate_observed(
+    let (agg, _) = agglomerate_guarded(
         data.len(),
         &links,
         &goodness,
         &AgglomerateConfig::new(2),
         &observer,
+        &guard,
     )
     .unwrap();
     assert_eq!(agg.clusters.len(), 2);
@@ -89,7 +92,9 @@ fn stage_counters_match_hand_computed_values() {
 fn outlier_filter_counts_dropped_points() {
     let data = fixture();
     let observer = Observer::new();
-    let graph = NeighborGraph::compute_observed(&data, &Jaccard, THETA, 1, &observer).unwrap();
+    let (graph, _) =
+        NeighborGraph::compute_guarded(&data, &Jaccard, THETA, 1, &observer, &Guard::unlimited())
+            .unwrap();
     // Every point has degree 2 < 3, so a min-neighbors-3 filter drops all.
     let (kept, out) = NeighborFilter::new(3).split_observed(&graph, &observer);
     assert!(kept.is_empty());
@@ -131,8 +136,9 @@ fn fit_observed_exposes_the_same_counters_end_to_end() {
         .sample(SampleStrategy::All)
         .seed(1)
         .build()
-        .fit_observed(&data, &observer)
-        .unwrap();
+        .fit_guarded(&data, &observer, &Guard::unlimited())
+        .unwrap()
+        .into_model();
     assert_eq!(model.num_clusters(), 2);
     assert!(model.outliers().is_empty());
 
@@ -193,8 +199,9 @@ fn sampled_fit_labels_the_rest_and_counts_it() {
         .sample(SampleStrategy::Fixed(12))
         .seed(3)
         .build()
-        .fit_observed(&data, &observer)
-        .unwrap();
+        .fit_guarded(&data, &observer, &Guard::unlimited())
+        .unwrap()
+        .into_model();
     assert_eq!(model.num_clusters(), 2);
 
     let c = observer.counters().snapshot();
@@ -232,8 +239,9 @@ fn traced_fit_emits_a_deterministic_canonical_stream() {
             .seed(3)
             .trace(path)
             .build()
-            .fit_observed(&data, &observer)
-            .unwrap();
+            .fit_guarded(&data, &observer, &Guard::unlimited())
+            .unwrap()
+            .into_model();
         assert_eq!(model.num_clusters(), 2);
 
         let text = std::fs::read_to_string(path).unwrap();
