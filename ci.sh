@@ -201,6 +201,8 @@ gate_bench() {
     ./target/release/exp_neighbors --metrics target/bench/BENCH_neighbors.json >/dev/null
     echo "-- exp_links (link kernel, 1/2/4/8 workers)"
     ./target/release/exp_links --metrics target/bench/BENCH_links.json >/dev/null
+    echo "-- exp_mushroom (E2: sampled fit that labels the rest)"
+    ./target/release/exp_mushroom --metrics target/bench/BENCH_mushroom.json >/dev/null
     echo "-- exp_scale (1M-row out-of-core labeling, 64 MiB ceiling)"
     ./target/release/exp_scale --metrics target/bench/BENCH_scale.json >/dev/null
     echo "-- exp_serve (loopback load + batching + reload soak)"
@@ -227,6 +229,13 @@ gate_bench() {
     ./target/release/bench_check \
         --baseline results/BENCH_links.json \
         --fresh target/bench/BENCH_links.json
+    echo "-- bench_check BENCH_mushroom.json"
+    # The only baseline whose fit runs the labeling phase. Same floor
+    # rationale as the scalability grid: every phase is sub-second.
+    ./target/release/bench_check \
+        --baseline results/BENCH_mushroom.json \
+        --fresh target/bench/BENCH_mushroom.json \
+        --floor 0.35
     echo "-- bench_check BENCH_scale.json"
     ./target/release/bench_check \
         --baseline results/BENCH_scale.json \

@@ -158,45 +158,96 @@ pub fn label_point<S: Similarity, F: LinkExponent>(
 
 /// Largest universe (in items) a bit-packed index covers — the labeling
 /// index here and the neighbor join's verification matrix alike. Beyond
-/// it the per-row bitsets stop paying for themselves (64 words each) and
-/// both fall back to sorted-merge intersections.
+/// it the bit matrices stop paying for themselves (one word per item for
+/// every 64 representatives here, 64 words per row in the join) and both
+/// fall back to sorted-merge intersections.
 pub const MAX_DENSE_UNIVERSE: usize = 4096;
 
-/// Bit-packed representative index: one bitset per representative over
-/// the items `0..=max representative item`, so the θ-neighbor test of the
-/// labeling rule becomes a handful of `AND` + popcount words instead of a
-/// branchy sorted merge per representative.
+/// Counter planes a labeling index can need: `2^(MAX_PLANES − 1)`
+/// exceeds every representative length it admits (at most
+/// [`MAX_DENSE_UNIVERSE`] items).
+const MAX_PLANES: usize = 14;
+const _: () = assert!(1 << (MAX_PLANES - 1) > MAX_DENSE_UNIVERSE);
+
+/// Bit-sliced representative index: the labeling rule scores one point
+/// against 64 representatives per word operation, with no
+/// per-representative popcount, float or branch.
 ///
-/// The index is exact, not approximate: transactions are sorted
-/// deduplicated sets, so popcounting `point ∧ rep` yields the same
-/// integer `|A ∩ B|` the merge in
-/// [`Transaction::intersection_len`](crate::data::Transaction::intersection_len)
-/// produces, and the similarity is evaluated through the measure's
-/// [`SimilarityKind::sim_from_counts`], which [`Similarity::count_kind`]
-/// promises equals [`Similarity::sim`] bit for bit — identical floats,
-/// identical labels, only faster. Queries reuse a caller-provided
-/// scratch bitset so the hot path allocates nothing.
+/// Representatives keep their row order, so each cluster is a contiguous
+/// row range, and are grouped into blocks of 64: block `b` stores one
+/// word per item in `0..universe`, whose bit `r % 64` is set when
+/// representative `r` holds the item. To label a point, each block adds
+/// the words of the point's items into bit-sliced counters (plane `k`
+/// holds bit `k` of the 64 counters; the carry ripples up), which counts
+/// the exact integer `|p ∩ r|` for all 64 representatives at once —
+/// transactions are sorted deduplicated sets.
+///
+/// The neighbor test is decided in the threshold form the neighbor join
+/// uses. Every count measure is monotone in the intersection, so
+/// `sim_from_counts(i, |p|, |r|) ≥ θ` holds exactly when
+/// `i ≥ t_min(|p|, |r|)` ([`SimilarityKind::t_min`]). Counter `r` starts
+/// at `2^top − t_min(|p|, |r|)`, or at 0 when no intersection reaches θ,
+/// where `2^top` exceeds every representative length; after the point's
+/// items are added, the top plane is the hit mask. The starts depend only
+/// on `|p|` and `|r|`, so they are built from one mask per distinct
+/// representative length, once per point length and call. `N_i` is the
+/// popcount of the hit mask over the cluster's row range, and the score
+/// `N_i / norm_i` divides by the same `(|L_i| + 1)^{f(θ)}` scalar
+/// [`label_point`] computes — identical labels, bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseReps {
     /// The measure's count form.
     kind: SimilarityKind,
-    /// Words per bitset row (`ceil((max item + 1) / 64)`).
-    words: usize,
-    /// Rep-major bit matrix: representative `r` is
-    /// `bits[r * words .. (r + 1) * words]`.
+    /// The θ the hit masks decide.
+    theta: f64,
+    /// Words per block: `max representative item + 1`, at least 1.
+    universe: usize,
+    /// Blocks of 64 representatives (the last one padded).
+    blocks: usize,
+    /// Counter planes per block (`top + 1`, at most [`MAX_PLANES`]).
+    planes: usize,
+    /// [`block_hits`] for `planes`.
+    block_hits: fn(&[u64], &[usize], &[u64]) -> u64,
+    /// Block-major transposed bits: block `b`, item `i` is
+    /// `bits[b * universe + i]`.
     bits: Vec<u64>,
-    /// `|B|` of each representative, in row order.
+    /// Distinct representative lengths, ascending.
     lens: Vec<usize>,
+    /// Per length class `l`, per block `b`: the block's representatives
+    /// of length `lens[l]`, at `len_masks[l * blocks + b]`.
+    len_masks: Vec<u64>,
     /// Per cluster: (first row, representative count).
     clusters: Vec<(usize, usize)>,
+    /// Per cluster: `(|L_i| + 1)^{f(θ)}`.
+    norms: Vec<f64>,
+}
+
+/// Per-worker scratch of [`DenseReps::label_into`], valid for one index.
+#[derive(Default)]
+struct Scratch {
+    /// The point's items inside the index.
+    items: Vec<usize>,
+    /// The point's hit mask, one word per block.
+    hits: Vec<u64>,
+    /// Per point length: one past the offset of its start planes in
+    /// `starts`, or 0 before the first point of that length.
+    start_at: Vec<usize>,
+    /// Start planes, `blocks * planes` words per point length seen.
+    starts: Vec<u64>,
 }
 
 impl DenseReps {
-    /// The labeling kernel choice, made once per representative set:
+    /// The labeling kernel choice, made once per representative set and θ:
     /// builds the index when `sim` has a [`Similarity::count_kind`] and
     /// every representative item is below [`MAX_DENSE_UNIVERSE`], and
-    /// returns `None` — scalar [`label_point`] — otherwise.
-    pub(crate) fn build<S: Similarity>(reps: &Representatives, sim: &S) -> Option<DenseReps> {
+    /// returns `None` — scalar [`label_point`] — otherwise. `exponent` is
+    /// `f(θ)`.
+    pub(crate) fn build<S: Similarity>(
+        reps: &Representatives,
+        sim: &S,
+        theta: f64,
+        exponent: f64,
+    ) -> Option<DenseReps> {
         let kind = sim.count_kind()?;
         let universe = reps
             .sets
@@ -208,85 +259,197 @@ impl DenseReps {
         if universe > MAX_DENSE_UNIVERSE {
             return None;
         }
-        let words = universe.div_ceil(64);
-        let total = reps.total();
-        let mut bits = vec![0u64; total * words];
-        let mut lens = Vec::with_capacity(total);
-        let mut clusters = Vec::with_capacity(reps.num_clusters());
-        let mut row = 0usize;
-        for set in &reps.sets {
-            clusters.push((row, set.len()));
-            for rep in set {
-                let base = row * words;
-                for &item in rep.items() {
-                    let i = cast::u32_to_usize(item);
-                    bits[base + i / 64] |= 1u64 << (i % 64);
-                }
-                lens.push(rep.len());
-                row += 1;
+        let universe = universe.max(1);
+        let blocks = reps.total().div_ceil(64);
+        let mut lens: Vec<usize> = reps.sets.iter().flatten().map(Transaction::len).collect();
+        lens.sort_unstable();
+        lens.dedup();
+        let max_len = lens.last().copied().unwrap_or(0);
+        let planes = cast::u32_to_usize(usize::BITS - max_len.leading_zeros()) + 1;
+        let block_hits = match planes {
+            1 => block_hits::<1>,
+            2 => block_hits::<2>,
+            3 => block_hits::<3>,
+            4 => block_hits::<4>,
+            5 => block_hits::<5>,
+            6 => block_hits::<6>,
+            7 => block_hits::<7>,
+            8 => block_hits::<8>,
+            9 => block_hits::<9>,
+            10 => block_hits::<10>,
+            11 => block_hits::<11>,
+            12 => block_hits::<12>,
+            13 => block_hits::<13>,
+            _ => block_hits::<MAX_PLANES>,
+        };
+        let mut bits = vec![0u64; blocks * universe];
+        let mut len_masks = vec![0u64; lens.len() * blocks];
+        for (r, rep) in reps.sets.iter().flatten().enumerate() {
+            let (b, bit) = (r / 64, 1u64 << (r % 64));
+            for &item in rep.items() {
+                bits[b * universe + cast::u32_to_usize(item)] |= bit;
             }
+            let (Ok(l) | Err(l)) = lens.binary_search(&rep.len());
+            len_masks[l * blocks + b] |= bit;
         }
+        let mut row = 0usize;
+        let clusters = reps
+            .sets
+            .iter()
+            .map(|set| {
+                row += set.len();
+                (row - set.len(), set.len())
+            })
+            .collect();
+        let norms = reps
+            .sets
+            .iter()
+            .map(|set| cast::usize_to_f64(set.len() + 1).powf(exponent))
+            .collect();
         Some(DenseReps {
             kind,
-            words,
+            theta,
+            universe,
+            blocks,
+            planes,
+            block_hits,
             bits,
             lens,
+            len_masks,
             clusters,
+            norms,
         })
     }
 
-    /// [`label_point`] over the packed index: same scores, same
+    /// [`label_point`] for each of `points` into `out`: same scores, same
     /// deterministic lower-index tie-break, same `None`-for-outlier
-    /// contract. `scratch` is resized to the row width and overwritten.
-    pub(crate) fn label_point(
-        &self,
-        point: &Transaction,
-        theta: f64,
-        exponent: f64,
-        scratch: &mut Vec<u64>,
-    ) -> Option<usize> {
-        scratch.clear();
-        scratch.resize(self.words, 0);
-        for &item in point.items() {
-            let i = cast::u32_to_usize(item);
-            // Items outside the index can never match a representative;
-            // they still count toward |A| below.
-            if i / 64 < self.words {
-                scratch[i / 64] |= 1u64 << (i % 64);
-            }
+    /// contract.
+    pub(crate) fn label_into(&self, points: &[&Transaction], out: &mut [Option<usize>]) {
+        let mut scratch = Scratch::default();
+        for (p, o) in points.iter().zip(out) {
+            *o = self.label_point(p, &mut scratch);
         }
-        let a_len = point.len();
+    }
+
+    /// Labels one point: its hit mask, block by block, then `N_i` per
+    /// cluster row range and the best score.
+    fn label_point(&self, point: &Transaction, scratch: &mut Scratch) -> Option<usize> {
+        let Scratch {
+            items,
+            hits,
+            start_at,
+            starts,
+        } = scratch;
+        let a = point.len();
+        if start_at.len() <= a {
+            start_at.resize(a + 1, 0);
+        }
+        if start_at[a] == 0 {
+            start_at[a] = starts.len() + 1;
+            self.push_starts(a, starts);
+        }
+        let starts = &starts[start_at[a] - 1..][..self.blocks * self.planes];
+        items.clear();
+        // Items outside the index can never match a representative; they
+        // still count toward |p| through the start planes.
+        items.extend(
+            point
+                .items()
+                .iter()
+                .map(|&i| cast::u32_to_usize(i))
+                .filter(|&i| i < self.universe),
+        );
+        hits.clear();
+        for (block, start) in self
+            .bits
+            .chunks_exact(self.universe)
+            .zip(starts.chunks_exact(self.planes))
+        {
+            hits.push((self.block_hits)(block, items, start));
+        }
         let mut best: Option<(f64, usize)> = None;
-        for (c, &(start, count)) in self.clusters.iter().enumerate() {
-            let mut n_i = 0usize;
-            for r in start..start + count {
-                let row = &self.bits[r * self.words..(r + 1) * self.words];
-                let mut inter = 0usize;
-                for (pw, rw) in scratch.iter().zip(row) {
-                    inter += cast::u32_to_usize((pw & rw).count_ones());
-                }
-                if self.kind.sim_from_counts(inter, a_len, self.lens[r]) >= theta {
-                    n_i += 1;
-                }
-            }
+        for (c, (&(start, count), &norm)) in self.clusters.iter().zip(&self.norms).enumerate() {
+            let n_i = count_ones_in(hits, start, start + count);
             if n_i == 0 {
                 continue;
             }
-            let score = cast::usize_to_f64(n_i) / cast::usize_to_f64(count + 1).powf(exponent);
+            let score = cast::usize_to_f64(n_i) / norm;
             if best.is_none_or(|(b, _)| score > b) {
                 best = Some((score, c));
             }
         }
-        best.map(|(_, i)| i)
+        best.map(|(_, c)| c)
     }
+
+    /// Appends the counter start planes for points of length `a`, block
+    /// by block: counter `r` starts at `2^top − t_min(a, |r|)`, or at 0
+    /// when no intersection reaches θ, so it reaches the top plane
+    /// exactly when `|p ∩ r| ≥ t_min(a, |r|)`.
+    fn push_starts(&self, a: usize, starts: &mut Vec<u64>) {
+        let blocks = self.blocks;
+        let base = starts.len();
+        starts.resize(base + blocks * self.planes, 0);
+        let top = 1usize << (self.planes - 1);
+        for (l, &len) in self.lens.iter().enumerate() {
+            let start = self.kind.t_min(self.theta, a, len).map_or(0, |t| top - t);
+            let masks = &self.len_masks[l * blocks..(l + 1) * blocks];
+            for k in (0..self.planes).filter(|k| start >> k & 1 == 1) {
+                for (b, &mask) in masks.iter().enumerate() {
+                    starts[base + b * self.planes + k] |= mask;
+                }
+            }
+        }
+    }
+}
+
+/// One block's hit mask: each of its 64 counters starts at `start` and
+/// gains one for each of `items` its representative holds, summed in `P`
+/// bit-sliced planes with a rippling carry; the top plane is the mask of
+/// counters that reached `2^(P − 1)`. `P` is a constant so the planes
+/// stay in registers.
+fn block_hits<const P: usize>(block: &[u64], items: &[usize], start: &[u64]) -> u64 {
+    let mut counters = [0u64; P];
+    counters.copy_from_slice(start);
+    for &i in items {
+        let mut carry = block[i];
+        for plane in &mut counters {
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
+        }
+    }
+    counters[P - 1]
+}
+
+/// Set bits of the bitset `words` at positions `lo..hi`.
+fn count_ones_in(words: &[u64], lo: usize, hi: usize) -> usize {
+    if lo >= hi {
+        return 0;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let mut n = 0usize;
+    for (w, &word) in words[first..=last].iter().enumerate() {
+        let mut word = word;
+        if w == 0 {
+            word &= u64::MAX << (lo % 64);
+        }
+        if first + w == last {
+            word &= u64::MAX >> (63 - (hi - 1) % 64);
+        }
+        if word != 0 {
+            n += cast::u32_to_usize(word.count_ones());
+        }
+    }
+    n
 }
 
 /// The §4.2 rule bound to one representative set: the single labeling
 /// path behind the batch fit ([`label_many_observed`]) and every
 /// [`ModelSnapshot`](crate::snapshot::ModelSnapshot). `dense` is the
-/// kernel [`DenseReps::build`] chose; without it points go through
-/// scalar [`label_point`]. Both evaluate the same similarity on the same
-/// integer counts, so the answer is identical either way.
+/// kernel [`DenseReps::build`] chose for `theta` and `exponent`; without
+/// it points go through scalar [`label_point`]. Both decide the same
+/// similarity on the same integer counts, so the answer is identical
+/// either way.
 pub(crate) struct Labeler<'a, S> {
     pub(crate) reps: &'a Representatives,
     pub(crate) dense: Option<&'a DenseReps>,
@@ -297,32 +460,25 @@ pub(crate) struct Labeler<'a, S> {
 }
 
 impl<S: Similarity> Labeler<'_, S> {
-    /// Labels one point (`None` = no θ-neighbor in any representative set).
-    fn label(&self, point: &Transaction, scratch: &mut Vec<u64>) -> Option<usize> {
-        match self.dense {
-            Some(dense) => dense.label_point(point, self.theta, self.exponent, scratch),
-            None => label_point(
-                point,
-                self.reps,
-                self.sim,
-                &ConstantExponent(self.exponent),
-                self.theta,
-            ),
-        }
-    }
-
     /// Labels `points` over `threads` workers (`0` = one per CPU, capped
     /// at 16; tiny inputs stay on the caller's thread) in equal
     /// contiguous chunks. Output order matches input order for every
-    /// thread count.
+    /// thread count; `None` means no θ-neighbor in any representative
+    /// set.
     pub(crate) fn label_many(&self, points: &[&Transaction], threads: usize) -> Vec<Option<usize>> {
         let n = points.len();
         let mut out: Vec<Option<usize>> = vec![None; n];
         let bounds = shard::equal_bounds(n, shard::effective_threads(threads, n));
         shard::fan_out(&mut out, &bounds, |_, start, slice| {
-            let mut scratch = Vec::new();
-            for (p, o) in points[start..].iter().zip(slice) {
-                *o = self.label(p, &mut scratch);
+            let points = &points[start..start + slice.len()];
+            match self.dense {
+                Some(dense) => dense.label_into(points, slice),
+                None => {
+                    let f = ConstantExponent(self.exponent);
+                    for (p, o) in points.iter().zip(slice) {
+                        *o = label_point(p, self.reps, self.sim, &f, self.theta);
+                    }
+                }
             }
         });
         out
@@ -345,13 +501,14 @@ pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     observer: &Observer,
 ) -> Vec<Option<usize>> {
     let span = observer.tracer().begin();
-    let dense = DenseReps::build(reps, sim);
+    let exponent = f.f(theta);
+    let dense = DenseReps::build(reps, sim, theta, exponent);
     let out = Labeler {
         reps,
         dense: dense.as_ref(),
         sim,
         theta,
-        exponent: f.f(theta),
+        exponent,
     }
     .label_many(points, threads);
     let counters = observer.counters();
@@ -582,14 +739,59 @@ mod tests {
         Transaction::new((0..len).map(|_| lo + rng.gen_range(0..u64::from(span)) as u32))
     }
 
+    /// Asserts that the index labels every point exactly like scalar
+    /// [`label_point`], for every count measure and each of `thetas`:
+    /// point by point through one scratch (so start planes are reused
+    /// across point lengths), and through `label_many_observed` at 1 and
+    /// 3 threads. Returns how many labels scalar labeling put in a
+    /// cluster.
+    fn assert_dense_matches_scalar(
+        reps: &Representatives,
+        points: &[Transaction],
+        thetas: &[f64],
+        what: &str,
+    ) -> usize {
+        let refs: Vec<&Transaction> = points.iter().collect();
+        let mut labeled = 0;
+        for kind in KINDS {
+            for &theta in thetas {
+                let what = format!("{what} {kind:?} θ {theta}");
+                let dense =
+                    DenseReps::build(reps, &kind, theta, MarketBasket.f(theta)).expect("fits");
+                let scalar: Vec<Option<usize>> = points
+                    .iter()
+                    .map(|p| label_point(p, reps, &kind, &MarketBasket, theta))
+                    .collect();
+                let mut got = vec![None; points.len()];
+                dense.label_into(&refs, &mut got);
+                for ((p, got), want) in points.iter().zip(&got).zip(&scalar) {
+                    assert_eq!(got, want, "{what} point {:?}", p.items());
+                }
+                for threads in [1, 3] {
+                    let many = label_many_observed(
+                        &refs,
+                        reps,
+                        &kind,
+                        &MarketBasket,
+                        theta,
+                        threads,
+                        &Observer::new(),
+                    );
+                    assert_eq!(many, scalar, "{what} threads {threads}");
+                }
+                labeled += scalar.iter().filter(|l| l.is_some()).count();
+            }
+        }
+        labeled
+    }
+
     #[test]
     fn dense_index_matches_scalar_labeling() {
-        // The bit-packed index must reproduce the scalar path bit for
-        // bit: same integer intersection counts through the measure's
-        // count form, so identical labels for every measure, θ and point
-        // — including empty points, empty representatives, a cluster
-        // with no representative, and points carrying items outside the
-        // index.
+        // The bit-sliced index must reproduce the scalar path bit for
+        // bit: the same θ-neighbor decisions through the measure's count
+        // form, so identical labels for every measure, θ and point —
+        // including empty points, empty representatives, a cluster with
+        // no representative, and points carrying items outside the index.
         for seed in 0..4u64 {
             let mut rng = seeded_rng(seed);
             let universe = 40 + 13 * u32::try_from(seed).unwrap();
@@ -613,39 +815,113 @@ mod tests {
                 (0..reps.num_clusters()).any(|c| reps.set(c).iter().any(Transaction::is_empty)),
                 "seed {seed}"
             );
-            let refs: Vec<&Transaction> = points.iter().collect();
-            let mut scratch = Vec::new();
-            for kind in KINDS {
-                let dense = DenseReps::build(&reps, &kind).expect("fits");
-                for theta in [0.05, 0.2, 1.0 / 3.0, 0.5, 0.73, 0.8, 0.95] {
-                    let exponent = MarketBasket.f(theta);
-                    let scalar: Vec<Option<usize>> = points
-                        .iter()
-                        .map(|p| label_point(p, &reps, &kind, &MarketBasket, theta))
-                        .collect();
-                    for (p, want) in points.iter().zip(&scalar) {
-                        let got = dense.label_point(p, theta, exponent, &mut scratch);
-                        assert_eq!(
-                            got,
-                            *want,
-                            "seed {seed} {kind:?} θ {theta} point {:?}",
-                            p.items()
-                        );
+            let thetas = [0.05, 0.2, 1.0 / 3.0, 0.5, 0.73, 0.8, 0.95];
+            let labeled = assert_dense_matches_scalar(&reps, &points, &thetas, &format!("{seed}"));
+            assert!(labeled > 0, "seed {seed}");
+        }
+    }
+
+    /// `template` with each item dropped with probability `drop`, plus
+    /// `extra` random items below `span`.
+    fn perturb(rng: &mut Rng, template: &[u32], drop: f64, extra: usize, span: u32) -> Transaction {
+        let kept: Vec<u32> = template
+            .iter()
+            .copied()
+            .filter(|_| !rng.gen_bool(drop))
+            .collect();
+        let noise: Vec<u32> = (0..extra)
+            .map(|_| rng.gen_range(0..u64::from(span)) as u32)
+            .collect();
+        Transaction::new(kept.into_iter().chain(noise))
+    }
+
+    #[test]
+    fn dense_index_matches_scalar_labeling_across_blocks() {
+        // Clusters of 0, 1, 63, 64, 65 and 130 representatives start and
+        // end inside, on and across the 64-representative blocks;
+        // representatives of 64 items and more need 8 counter planes; the
+        // universes sit on and just past a word boundary and at the index
+        // limit, each with a representative holding its last item. 256
+        // points are enough for `label_many_observed` to use 3 workers.
+        let sizes = [0usize, 1, 63, 64, 65, 130];
+        let template_lens = [5usize, 70, 64, 3, 12, 8];
+        for (seed, universe) in [(0u64, 64u32), (1, 65), (2, 4096)] {
+            let mut rng = seeded_rng(seed);
+            let templates: Vec<Vec<u32>> = template_lens
+                .iter()
+                .map(|&len| {
+                    let mut items: Vec<u32> = (0..universe).collect();
+                    items.shuffle(&mut rng);
+                    items.truncate(len);
+                    items
+                })
+                .collect();
+            let mut sets: Vec<Vec<Transaction>> = sizes
+                .iter()
+                .zip(&templates)
+                .map(|(&size, template)| {
+                    (0..size)
+                        .map(|r| match r % 4 {
+                            0 => Transaction::new(template.iter().copied()),
+                            _ => perturb(&mut rng, template, 0.15, r % 5, universe),
+                        })
+                        .collect()
+                })
+                .collect();
+            sets[5][7] = Transaction::new([0, universe / 2, universe - 1]);
+            let reps = Representatives::from_sets(sets);
+            let max_rep = (0..reps.num_clusters())
+                .flat_map(|c| reps.set(c).iter().map(Transaction::len))
+                .max()
+                .unwrap();
+            assert!(max_rep >= 64, "universe {universe}");
+
+            let outside = |rng: &mut Rng, n: usize| -> Vec<u32> {
+                (0..n)
+                    .map(|_| universe + rng.gen_range(0..100u64) as u32)
+                    .collect()
+            };
+            let mut points: Vec<Transaction> = vec![
+                Transaction::new([]),
+                Transaction::new(outside(&mut rng, 5)),
+                Transaction::new(outside(&mut rng, 90)),
+                Transaction::new([0, universe / 2, universe - 1]),
+            ];
+            for i in 0..252usize {
+                let template = &templates[i % templates.len()];
+                let p = match i % 5 {
+                    0 => Transaction::new(template.iter().copied()),
+                    1 => perturb(&mut rng, template, 0.05, 2, universe + 40),
+                    2 => perturb(&mut rng, template, 0.3, 6, universe),
+                    3 => {
+                        // Longer than every representative: the template
+                        // plus items of another cluster and outside ones.
+                        let other = &templates[(i + 1) % templates.len()];
+                        let mut items = template.clone();
+                        items.extend(other);
+                        items.extend(outside(&mut rng, max_rep + 1));
+                        Transaction::new(items)
                     }
-                    for threads in [1, 3] {
-                        let many = label_many_observed(
-                            &refs,
-                            &reps,
-                            &kind,
-                            &MarketBasket,
-                            theta,
-                            threads,
-                            &Observer::new(),
-                        );
-                        assert_eq!(many, scalar, "seed {seed} {kind:?} θ {theta} t {threads}");
-                    }
-                }
+                    _ => random_set(&mut rng, 0, universe, 12),
+                };
+                points.push(p);
             }
+            assert!(points.iter().any(|p| p.len() > max_rep));
+
+            let kind = SimilarityKind::Jaccard;
+            let dense = DenseReps::build(&reps, &kind, 0.5, MarketBasket.f(0.5)).expect("fits");
+            assert_eq!(dense.universe, cast::u32_to_usize(universe));
+            assert_eq!(dense.planes, 8, "universe {universe}");
+            assert_eq!(dense.blocks, 6, "323 representatives");
+
+            let thetas = [0.05, 0.2, 1.0 / 3.0, 0.5, 0.8, 0.95];
+            let labeled = assert_dense_matches_scalar(
+                &reps,
+                &points,
+                &thetas,
+                &format!("universe {universe}"),
+            );
+            assert!(labeled > points.len() * thetas.len(), "universe {universe}");
         }
     }
 
@@ -658,7 +934,7 @@ mod tests {
         dense: bool,
     ) {
         assert_eq!(
-            DenseReps::build(reps, sim).is_some(),
+            DenseReps::build(reps, sim, 0.3, MarketBasket.f(0.3)).is_some(),
             dense,
             "{}",
             sim.name()

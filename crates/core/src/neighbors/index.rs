@@ -16,9 +16,9 @@
 //!   t_lb(a) + 1` smallest-ranked items are indexed and probed, where
 //!   `t_lb(a)` is the smallest intersection any partner length present
 //!   in the dataset could need. `t_min(a, b)` (the least intersection
-//!   with `sim_from_counts(t, a, b) ≥ θ`) is found by binary search —
-//!   every kind is monotone in the intersection — so no analytic ceil
-//!   can drift from the verification predicate.
+//!   with `sim_from_counts(t, a, b) ≥ θ`) is [`SimilarityKind::t_min`]'s
+//!   binary search — every kind is monotone in the intersection — so no
+//!   analytic ceil can drift from the verification predicate.
 //! * **Size filter** — a candidate `(a, b)` survives only when the best
 //!   possible similarity `sim_from_counts(min(a, b), a, b)` reaches θ.
 //!   This is exact for Jaccard (`|T2| ≥ θ·|T1|`), Dice, overlap and
@@ -26,9 +26,9 @@
 //! * **Bounded verification** — survivors are checked in the threshold
 //!   form `|Ti ∩ Tj| ≥ t_min(a, b)` (a table lookup over the distinct
 //!   lengths). Vocabularies up to [`MAX_DENSE_UNIVERSE`] verify on a
-//!   bit-packed rank matrix (`AND` + popcount, as the labeling index
-//!   does); larger ones use a sorted merge that exits at the `t_min`-th match
-//!   or as soon as the remainder cannot reach it. Either way the
+//!   row-major bit-packed rank matrix (`AND` + popcount per candidate
+//!   pair); larger ones use a sorted merge that exits at the `t_min`-th
+//!   match or as soon as the remainder cannot reach it. Either way the
 //!   decision is exactly the brute predicate's.
 //! * **Empty rows** — kept out of the index and handled by predicate:
 //!   `sim_from_counts(0, a, 0)` decides empty↔nonempty pairs (1.0 for
@@ -58,30 +58,6 @@ use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
 /// the link kernel, for the same reason: responsive trips at a cost
 /// that does not register next to the kernel work.
 const GUARD_STRIDE: usize = 64;
-
-/// The smallest integer intersection `t` with
-/// `sim_from_counts(t, a, b) ≥ θ`, or `None` when even the best possible
-/// intersection (`min(a, b)`) stays below θ. Every [`SimilarityKind`] is
-/// monotone non-decreasing in the intersection, so binary search against
-/// the *verification predicate itself* is exact — unlike an analytic
-/// `ceil`, it cannot disagree with verification in the last float bit.
-fn t_min(kind: SimilarityKind, theta: f64, a: usize, b: usize) -> Option<usize> {
-    let cap = a.min(b);
-    if kind.sim_from_counts(cap, a, b) < theta {
-        return None;
-    }
-    let (mut lo, mut hi) = (0usize, cap);
-    // rock-analyze: allow(guard-loop) — bounded: the interval halves every iteration.
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if kind.sim_from_counts(mid, a, b) >= theta {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
-}
 
 /// The built inverted index: per-row prefix ranks and posting lists of
 /// rows per prefix rank, plus the row metadata the probe needs.
@@ -127,7 +103,7 @@ impl JoinIndex {
         &self.post[self.post_start[r]..self.post_start[r + 1]]
     }
 
-    /// Table lookup of [`t_min`] for two nonzero row lengths.
+    /// Table lookup of [`SimilarityKind::t_min`] for two nonzero row lengths.
     fn t_min_for(&self, a: u32, b: u32) -> u32 {
         let ia = cast::u32_to_usize(self.len_idx[cast::u32_to_usize(a)]);
         let ib = cast::u32_to_usize(self.len_idx[cast::u32_to_usize(b)]);
@@ -278,7 +254,7 @@ fn build(
     let mut prefix_by_len: Vec<u32> = vec![0; max_len + 1];
     for (ia, &a) in distinct.iter().enumerate() {
         for (ib, &b) in distinct.iter().enumerate() {
-            if let Some(t) = t_min(kind, theta, a, b) {
+            if let Some(t) = kind.t_min(theta, a, b) {
                 tmin_tab[ia * distinct_lens + ib] = cast::usize_to_u32(t);
             }
         }
@@ -695,43 +671,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn t_min_matches_linear_scan_for_every_kind() {
-        let kinds = [
-            SimilarityKind::Jaccard,
-            SimilarityKind::Dice,
-            SimilarityKind::Overlap,
-            SimilarityKind::Cosine,
-        ];
-        for kind in kinds {
-            for theta in [0.2, 0.5, 0.8, 0.999] {
-                for a in 1..=24usize {
-                    for b in 1..=24usize {
-                        let linear =
-                            (0..=a.min(b)).find(|&t| kind.sim_from_counts(t, a, b) >= theta);
-                        assert_eq!(
-                            t_min(kind, theta, a, b),
-                            linear,
-                            "{kind:?} θ={theta} a={a} b={b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn t_min_is_symmetric() {
-        for a in 1..=16usize {
-            for b in 1..=16usize {
-                assert_eq!(
-                    t_min(SimilarityKind::Jaccard, 0.5, a, b),
-                    t_min(SimilarityKind::Jaccard, 0.5, b, a),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn bounded_merge_decides_exactly_the_intersection_threshold() {
         // Every sorted deduplicated pair of small sets, every bound t:
         // the early-exit merge must agree with the full intersection.
@@ -754,29 +693,6 @@ mod tests {
                         full >= t,
                         "x={x:?} y={y:?} t={t}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_kind_is_monotone_in_the_intersection() {
-        // The binary search in t_min assumes it; pin it down.
-        let kinds = [
-            SimilarityKind::Jaccard,
-            SimilarityKind::Dice,
-            SimilarityKind::Overlap,
-            SimilarityKind::Cosine,
-        ];
-        for kind in kinds {
-            for a in 1..=12usize {
-                for b in 1..=12usize {
-                    let mut prev = -1.0f64;
-                    for t in 0..=a.min(b) {
-                        let s = kind.sim_from_counts(t, a, b);
-                        assert!(s >= prev, "{kind:?} a={a} b={b} t={t}");
-                        prev = s;
-                    }
                 }
             }
         }

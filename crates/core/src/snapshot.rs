@@ -123,11 +123,11 @@ impl SimilarityKind {
 }
 
 impl SimilarityKind {
-    /// The measure from precomputed set sizes — the dispatch the
-    /// bit-packed labeling index uses. Every arm calls the same
+    /// The measure from precomputed set sizes — the dispatch the neighbor
+    /// join and the labeling index decide θ-neighbors on, in the
+    /// threshold form `t_min` derives from it. Every arm calls the same
     /// `from_counts` definition [`Similarity::sim`] is built on, so the
-    /// packed and merge-based labeling paths produce bit-identical
-    /// floats.
+    /// count-based and merge-based paths produce bit-identical floats.
     #[inline]
     #[must_use]
     pub fn sim_from_counts(self, inter: usize, a_len: usize, b_len: usize) -> f64 {
@@ -137,6 +137,33 @@ impl SimilarityKind {
             SimilarityKind::Overlap => Overlap::from_counts(inter, a_len, b_len),
             SimilarityKind::Cosine => Cosine::from_counts(inter, a_len, b_len),
         }
+    }
+
+    /// The threshold form of `sim ≥ θ`: the smallest integer intersection
+    /// `t` with `sim_from_counts(t, a, b) ≥ θ`, or `None` when even the
+    /// best possible intersection (`min(a, b)`) stays below θ. Every
+    /// kind is monotone non-decreasing in the intersection, so
+    /// `sim_from_counts(i, a, b) ≥ θ` holds exactly when `i ≥ t`, and a
+    /// binary search against the predicate itself is exact — unlike an
+    /// analytic `ceil`, it cannot disagree with `sim_from_counts` in the
+    /// last float bit. The neighbor join's verification and the
+    /// labeling index both decide θ-neighbors through it.
+    pub(crate) fn t_min(self, theta: f64, a: usize, b: usize) -> Option<usize> {
+        let cap = a.min(b);
+        // No intersection reaches a NaN θ, just as `sim ≥ NaN` never holds.
+        if self.sim_from_counts(cap, a, b) < theta || theta.is_nan() {
+            return None;
+        }
+        let (mut lo, mut hi) = (0usize, cap);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.sim_from_counts(mid, a, b) >= theta {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
     }
 }
 
@@ -207,10 +234,11 @@ pub struct ModelSnapshot {
     universe: usize,
     vocabulary: Option<Vocabulary>,
     reps: Representatives,
-    /// Bit-packed representative index, built at construction when every
-    /// representative item fits ([`DenseReps::build`]). Derived from
-    /// `reps` — never rendered, never compared; [`ModelSnapshot::label`]
-    /// answers identically with or without it.
+    /// Bit-sliced representative index for θ and `f(θ)`, built at
+    /// construction when every representative item fits
+    /// ([`DenseReps::build`]). Derived from `reps` — never rendered,
+    /// never compared; [`ModelSnapshot::label`] answers identically with
+    /// or without it.
     dense: Option<DenseReps>,
 }
 
@@ -242,7 +270,12 @@ impl ModelSnapshot {
             dense: None,
         };
         snapshot.validate()?;
-        snapshot.dense = DenseReps::build(&snapshot.reps, &snapshot.similarity);
+        snapshot.dense = DenseReps::build(
+            &snapshot.reps,
+            &snapshot.similarity,
+            snapshot.theta,
+            snapshot.exponent,
+        );
         Ok(snapshot)
     }
 
@@ -675,7 +708,10 @@ impl ModelSnapshot {
             Some(vocab)
         };
 
-        let mut sets: Vec<Vec<Transaction>> = Vec::with_capacity(clusters);
+        // The counts below are only checksummed, not trusted: the vectors
+        // grow line by line, so a count that lies ends in the truncation
+        // error instead of a huge allocation.
+        let mut sets: Vec<Vec<Transaction>> = Vec::new();
         for c in 0..clusters {
             let (no, line) = next("reps header")?;
             let toks: Vec<&str> = line.split_whitespace().collect();
@@ -691,7 +727,7 @@ impl ModelSnapshot {
             let count: usize = count
                 .parse()
                 .map_err(|e| bad(no, format!("bad representative count {count:?}: {e}")))?;
-            let mut set = Vec::with_capacity(count);
+            let mut set = Vec::new();
             for _ in 0..count {
                 let (no, line) = next("representative line")?;
                 if line != "r" && !line.starts_with("r ") {
@@ -1000,16 +1036,85 @@ mod tests {
         for s in samples {
             assert!(ModelSnapshot::parse(s).is_err(), "{s:?}");
         }
-        // Valid checksum over a garbage body still fails cleanly.
-        let body = "theta zz zz\n";
-        let text = format!(
-            "rock-model/v1\nchecksum fnv1a64 {:016x}\n{body}",
-            super::fnv1a64(body.as_bytes())
-        );
-        assert!(matches!(
-            ModelSnapshot::parse(&text).unwrap_err(),
-            RockError::SnapshotFormat { .. }
-        ));
+        // A valid checksum over a garbage body still fails cleanly, and so
+        // do counts that lie: the checksum is no proof, anyone can
+        // recompute it, so a huge cluster or representative count must end
+        // in the truncation error, not in an allocation sized from it.
+        let header = "theta 3fe0000000000000 0.5\nexponent 3fd0000000000000 0.25\n\
+                      similarity jaccard\npolicy mark\nuniverse 5\n";
+        for body in [
+            "theta zz zz\n".to_owned(),
+            format!("{header}clusters 4000000000000000000\nvocab 0\n"),
+            format!("{header}clusters 1\nvocab 0\nreps 0 4000000000000000000\nr 0 1\n"),
+        ] {
+            let text = format!(
+                "rock-model/v1\nchecksum fnv1a64 {:016x}\n{body}",
+                super::fnv1a64(body.as_bytes())
+            );
+            assert!(
+                matches!(
+                    ModelSnapshot::parse(&text).unwrap_err(),
+                    RockError::SnapshotFormat { .. }
+                ),
+                "{body:?}"
+            );
+        }
+    }
+
+    const KINDS: [SimilarityKind; 4] = [
+        SimilarityKind::Jaccard,
+        SimilarityKind::Dice,
+        SimilarityKind::Overlap,
+        SimilarityKind::Cosine,
+    ];
+
+    #[test]
+    fn t_min_matches_linear_scan_for_every_kind() {
+        for kind in KINDS {
+            for theta in [0.2, 0.5, 0.8, 0.999, f64::NAN] {
+                for a in 0..=24usize {
+                    for b in 0..=24usize {
+                        let linear =
+                            (0..=a.min(b)).find(|&t| kind.sim_from_counts(t, a, b) >= theta);
+                        assert_eq!(
+                            kind.t_min(theta, a, b),
+                            linear,
+                            "{kind:?} θ={theta} a={a} b={b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn t_min_is_symmetric() {
+        for a in 1..=16usize {
+            for b in 1..=16usize {
+                assert_eq!(
+                    SimilarityKind::Jaccard.t_min(0.5, a, b),
+                    SimilarityKind::Jaccard.t_min(0.5, b, a),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_is_monotone_in_the_intersection() {
+        // The binary search in t_min, and so the neighbor join and the
+        // labeling index, assume it; pin it down.
+        for kind in KINDS {
+            for a in 1..=12usize {
+                for b in 1..=12usize {
+                    let mut prev = -1.0f64;
+                    for t in 0..=a.min(b) {
+                        let s = kind.sim_from_counts(t, a, b);
+                        assert!(s >= prev, "{kind:?} a={a} b={b} t={t}");
+                        prev = s;
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1075,12 +1180,7 @@ mod tests {
 
     #[test]
     fn similarity_kind_roundtrips_names() {
-        for kind in [
-            SimilarityKind::Jaccard,
-            SimilarityKind::Dice,
-            SimilarityKind::Overlap,
-            SimilarityKind::Cosine,
-        ] {
+        for kind in KINDS {
             assert_eq!(SimilarityKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(SimilarityKind::from_name("euclid"), None);
