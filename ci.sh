@@ -88,9 +88,9 @@ gate_tier1() {
     fi
     cargo test --offline --workspace --exclude rock-serve -q --lib --bins
     cargo test --offline --workspace --exclude rock-serve -q --doc
-    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, analyzer fixtures)"
+    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, reference, analyzer fixtures)"
     cargo test --offline -q --test pipeline --test proptests --test extensions \
-        --test telemetry --test snapshot --test neighbors_join
+        --test telemetry --test snapshot --test neighbors_join --test reference
     cargo test --offline -q -p rock-analyze --test fixtures
 }
 

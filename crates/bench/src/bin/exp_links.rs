@@ -1,23 +1,28 @@
 //! E10 — link-kernel scaling (DESIGN.md §13).
 //!
 //! Benchmarks `LinkTable::compute_guarded` alone — the paper's
-//! `Σ deg²` hot spot — on the mushroom-like generator for 1, 2, 4 and
-//! 8 workers. The neighbor graph is built once per size and reused, so
-//! the measured wall time is the link phase only. Every parallel run is
-//! checked against the sequential table: the sharded kernel must be
-//! byte-identical for any thread count, so the only thing allowed to
-//! change with `threads` is the wall clock.
+//! `Σ deg²` hot spot — for 1, 2, 4 and 8 workers on two mushroom-like
+//! graphs (n = 2000 and 6000, θ = 0.73: dense and clustered, so the
+//! bit-matrix kernel runs) and one random basket graph (3000 2-item
+//! baskets over 120 items, θ = 0.3: most linked pairs share one
+//! neighbor, so the list kernel runs). Each neighbor graph is built once
+//! and reused, so the measured wall time is the link phase only. Every
+//! parallel run is checked against the sequential table: the sharded
+//! kernel must be byte-identical for any thread count, so the only thing
+//! allowed to change with `threads` is the wall clock.
 
 use rock_bench::cli::ExpOptions;
 use rock_bench::table::{banner, TextTable};
 use rock_core::links::LinkTable;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::prelude::*;
+use rock_core::rng::Rng;
 use rock_core::telemetry::trace::LatencyHistogram;
 use rock_core::telemetry::{format_secs as secs, time_it};
 use rock_datasets::synthetic::MushroomModel;
 
 const THETA: f64 = 0.73;
+const BASKET_THETA: f64 = 0.3;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
@@ -29,9 +34,34 @@ fn main() {
     let full = MushroomModel::default().seed(opts.seed);
     let (table, _, _) = full.generate();
     let data = table.to_transactions();
+    // (label, θ, graph): the graph is shared input for every thread
+    // count; its cost is deliberately outside the measured window.
+    let mut cells: Vec<(String, f64, NeighborGraph)> = sizes
+        .iter()
+        .map(|&n| {
+            let n = n.min(data.len());
+            let sample = data.subset(&(0..n).collect::<Vec<_>>());
+            let graph =
+                NeighborGraph::compute(&sample, &Jaccard, THETA, 0).expect("neighbor graph");
+            (format!("n={n}"), THETA, graph)
+        })
+        .collect();
+    let n = opts.scaled(3000, 256);
+    let mut rng = Rng::seed_from_u64(opts.seed);
+    let baskets: TransactionSet = (0..n)
+        .map(|_| {
+            Transaction::new([
+                rng.gen_range(0..120u64) as u32,
+                rng.gen_range(0..120u64) as u32,
+            ])
+        })
+        .collect();
+    let graph =
+        NeighborGraph::compute(&baskets, &Jaccard, BASKET_THETA, 0).expect("neighbor graph");
+    cells.push((format!("baskets n={n}"), BASKET_THETA, graph));
 
     let mut t = TextTable::new([
-        "n",
+        "graph",
         "threads",
         "links_p50",
         "links_p99",
@@ -39,13 +69,8 @@ fn main() {
         "entries",
         "speedup",
     ]);
-    for &n in &sizes {
-        let n = n.min(data.len());
-        let sample = data.subset(&(0..n).collect::<Vec<_>>());
-        // The graph is shared input for every thread count; its cost is
-        // deliberately outside the measured window.
-        let graph = NeighborGraph::compute(&sample, &Jaccard, THETA, 0).expect("neighbor graph");
-
+    for (label, theta, graph) in &cells {
+        let n = graph.len();
         let mut sequential: Option<(LinkTable, std::time::Duration)> = None;
         for &threads in &THREADS {
             // Every epoch's wall time goes into a log2-bucketed
@@ -60,16 +85,16 @@ fn main() {
                 let observer = Observer::new();
                 let span = observer.phase(Phase::Links);
                 let (links, wall) = time_it(|| {
-                    LinkTable::compute_guarded(&graph, threads, &observer, &Guard::unlimited()).0
+                    LinkTable::compute_guarded(graph, threads, &observer, &Guard::unlimited()).0
                 });
                 span.finish();
                 let metrics = Metrics::collect(
                     &observer,
                     RunInfo {
-                        experiment: format!("exp_links[n={n},threads={threads}]"),
+                        experiment: format!("exp_links[{label},threads={threads}]"),
                         n,
                         k: 0,
-                        theta: THETA,
+                        theta: *theta,
                         seed: opts.seed,
                         sample_size: n,
                         clusters: 0,
@@ -96,7 +121,7 @@ fn main() {
                         "parallel link table diverged from sequential at threads={threads}"
                     );
                     t.row([
-                        n.to_string(),
+                        label.clone(),
                         threads.to_string(),
                         secs(p50),
                         secs(p99),
@@ -112,7 +137,7 @@ fn main() {
                 }
             }
             t.row([
-                n.to_string(),
+                label.clone(),
                 threads.to_string(),
                 secs(p50),
                 secs(p99),

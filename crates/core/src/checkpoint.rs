@@ -223,9 +223,14 @@ impl StreamCheckpoint {
         Ok(cp)
     }
 
-    /// Atomically persists the checkpoint: the text is written to
-    /// `<path>.tmp` in the same directory, flushed, then renamed over
-    /// `path`. A crash leaves either the old record or the new one.
+    /// Replaces the checkpoint at `path`: the text is written to
+    /// `<path>.tmp` in the same directory, then renamed over `path`.
+    /// Neither the temp file nor the directory is synced, so the
+    /// replacement is atomic against process death — a `kill -9` leaves
+    /// either the old record or the new one — but not against power
+    /// loss: after a power cut the checkpoint can be empty or missing. An
+    /// empty one fails resume closed ([`RockError::CheckpointInvalid`],
+    /// exit 4); a missing one makes the rerun start over.
     ///
     /// # Errors
     /// [`RockError::Io`] on filesystem failure.

@@ -35,29 +35,23 @@
 //!   the overlap coefficient, which makes empty rows neighbor
 //!   everything; 0.0 elsewhere) and empty↔empty pairs are similarity 1.
 //!
-//! Candidate generation shards over [`shard::fan_out`] exactly like the
-//! link kernel (DESIGN.md §13): contiguous row ranges balanced by the
-//! estimated candidate work, disjoint output slices, [`Guard`] polling
-//! every [`GUARD_STRIDE`] rows, posting/edge bytes streamed into the
-//! neighbor-graph gauge, and per-worker tallies summed in spawn order —
-//! the graph and every counter are byte-identical for any thread count.
+//! Candidate generation runs on [`shard::guarded_rows`], the guarded row
+//! loop the link kernels use too (DESIGN.md §13): contiguous row ranges balanced
+//! by the estimated candidate work, disjoint output slices, [`Guard`]
+//! polling every [`GUARD_STRIDE`] rows, posting/edge bytes streamed into
+//! the neighbor-graph gauge, and per-worker tallies summed in range
+//! order — the graph and every counter are byte-identical for any thread
+//! count.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
+use crate::bitrows::BitRows;
 use crate::cast;
 use crate::data::TransactionSet;
 use crate::guard::{Guard, Trip};
 use crate::labeling::MAX_DENSE_UNIVERSE;
-use crate::shard;
+use crate::shard::{self, GUARD_STRIDE};
 use crate::snapshot::SimilarityKind;
-use crate::telemetry::trace::{LatencyHistogram, Payload};
+use crate::telemetry::trace::Payload;
 use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
-
-/// How often (in rows) the index build and every probe worker poll the
-/// guard and flush byte tallies into the memory gauge. Same stride as
-/// the link kernel, for the same reason: responsive trips at a cost
-/// that does not register next to the kernel work.
-const GUARD_STRIDE: usize = 64;
 
 /// The built inverted index: per-row prefix ranks and posting lists of
 /// rows per prefix rank, plus the row metadata the probe needs.
@@ -82,12 +76,10 @@ struct JoinIndex {
     /// (`u32::MAX` where no intersection reaches θ — the size filter
     /// prunes those pairs before the table is consulted).
     tmin_tab: Vec<u32>,
-    /// Bit-matrix words per row (0 when the vocabulary exceeds
-    /// [`MAX_DENSE_UNIVERSE`] and verification falls back to the merge).
-    words_per_row: usize,
-    /// Row-major bit matrix over ranks: row `i` occupies
-    /// `dense[i·words_per_row..(i+1)·words_per_row]`.
-    dense: Vec<u64>,
+    /// Row-major bit matrix over ranks, one row per transaction (`None`
+    /// when the vocabulary exceeds [`MAX_DENSE_UNIVERSE`] and
+    /// verification falls back to the merge).
+    dense: Option<BitRows>,
     /// Estimated bytes held by the persistent index buffers (streamed
     /// into the neighbor-graph gauge alongside the growing edge lists).
     bytes: u64,
@@ -108,18 +100,6 @@ impl JoinIndex {
         let ia = cast::u32_to_usize(self.len_idx[cast::u32_to_usize(a)]);
         let ib = cast::u32_to_usize(self.len_idx[cast::u32_to_usize(b)]);
         self.tmin_tab[ia * self.distinct_lens + ib]
-    }
-
-    /// Exact `|Ti ∩ Tj|` over the bit matrix — ranks are a bijection of
-    /// the interned items, so the popcount equals the set intersection.
-    fn dense_intersection(&self, i: usize, j: usize) -> usize {
-        let w = self.words_per_row;
-        let ri = &self.dense[i * w..(i + 1) * w];
-        let rj = &self.dense[j * w..(j + 1) * w];
-        ri.iter()
-            .zip(rj)
-            .map(|(x, y)| cast::u32_to_usize((x & y).count_ones()))
-            .sum()
     }
 }
 
@@ -280,17 +260,13 @@ fn build(
     // Pass 5: each row's prefix ranks (its π(len) smallest-ranked
     // items) and, for vocabularies up to MAX_DENSE_UNIVERSE, the bit
     // matrix over full ranked rows that verification popcounts.
-    let words_per_row = if num_items <= MAX_DENSE_UNIVERSE {
-        num_items.div_ceil(64)
-    } else {
-        0
-    };
-    let mut dense: Vec<u64> = vec![0; n * words_per_row];
+    let mut dense = (num_items <= MAX_DENSE_UNIVERSE).then(|| BitRows::new(n, num_items));
+    let dense_bytes = dense.as_ref().map_or(0, BitRows::bytes);
     let mut ranked: Vec<u32> = Vec::new();
     let mut row_start: Vec<usize> = Vec::with_capacity(n + 1);
     row_start.push(0);
     let mut buf: Vec<u32> = Vec::new();
-    let base = base + vec_bytes(&dense);
+    let base = base + dense_bytes;
     for (i, t) in data.iter().enumerate() {
         if i.is_multiple_of(GUARD_STRIDE) {
             if let Some(trip) = poll(base + vec_bytes(&ranked)) {
@@ -304,11 +280,9 @@ fn build(
             buf.push(rank_of[v]);
         }
         buf.sort_unstable();
-        if words_per_row > 0 {
-            let row_w = i * words_per_row;
+        if let Some(dense) = dense.as_mut() {
             for &r in &buf {
-                let r = cast::u32_to_usize(r);
-                dense[row_w + r / 64] |= 1u64 << (r % 64);
+                dense.set(i, cast::u32_to_usize(r));
             }
         }
         let pi = cast::u32_to_usize(prefix_by_len[t.len()]);
@@ -361,7 +335,7 @@ fn build(
             + vec_bytes(&post_start)
             + vec_bytes(&len_idx)
             + vec_bytes(&tmin_tab)
-            + vec_bytes(&dense),
+            + dense_bytes,
         lengths,
         empties,
         ranked,
@@ -371,7 +345,6 @@ fn build(
         len_idx,
         distinct_lens,
         tmin_tab,
-        words_per_row,
         dense,
     };
     MemoryGauges::observe(&observer.memory().neighbor_graph, index.bytes);
@@ -394,101 +367,43 @@ fn build(
     Ok(index)
 }
 
-/// Shared state of one sharded probe: the early-exit broadcast flag and
-/// the cross-worker edge tally feeding the memory gauge on top of the
-/// (constant) index footprint.
-struct ProbeState<'a> {
-    stop: AtomicBool,
-    partial_edges: AtomicU64,
-    index_bytes: u64,
-    done_rows: AtomicU64,
-    total_rows: u64,
-    observer: &'a Observer,
-    guard: &'a Guard,
-}
-
-impl ProbeState<'_> {
-    /// Worker poll: flushes `delta` freshly stored edges into the shared
-    /// gauge (index bytes + edge payload bytes — always at or below the
-    /// finished graph high-water, so the mark stays deterministic) and
-    /// consults the guard. Returns the trip, if any, after broadcasting
-    /// stop to the other workers.
-    fn poll(&self, delta: u64) -> Option<Trip> {
-        let edges = delta + self.partial_edges.fetch_add(delta, Ordering::Relaxed);
-        MemoryGauges::observe(
-            &self.observer.memory().neighbor_graph,
-            self.index_bytes + edges * cast::usize_to_u64(std::mem::size_of::<u32>()),
-        );
-        if self.stop.load(Ordering::Relaxed) {
-            return None; // another worker already tripped and reported
-        }
-        let trip = self.guard.checkpoint(Phase::Neighbors, self.observer)?;
-        self.stop.store(true, Ordering::Relaxed);
-        Some(trip)
-    }
-}
-
-/// Per-worker tallies of one [`probe_range`] call. Summed in spawn order
-/// by [`compute`], so the flushed counters are deterministic for every
+/// One probe worker's scratch and tallies. [`compute`] sums the tallies
+/// in range order, so the flushed counters are deterministic for every
 /// thread count.
-struct ProbeResult {
+struct Probe {
+    /// Stamp-based candidate dedup: `stamp[j] == tick` marks j as already
+    /// collected for the current probing row; no clearing between rows.
+    stamp: Vec<u32>,
+    tick: u32,
+    cand: Vec<u32>,
     candidates: u64,
     pruned: u64,
     verified: u64,
-    edges: u64,
-    trip: Option<Trip>,
-    /// Per-stride-batch latencies (empty unless tracing was enabled).
-    batch_ns: LatencyHistogram,
 }
 
-/// Probes rows `start..start + out.len()` against the index, writing each
-/// row's sorted neighbor list into its slot of `out` and polling the
-/// guard every [`GUARD_STRIDE`] rows. When tracing is enabled it emits
-/// one `neighbors.probe` span and fills the per-stride-batch histogram.
-#[allow(clippy::too_many_arguments)] // mirrors the link kernel's compute_range
-fn probe_range(
-    data: &TransactionSet,
-    index: &JoinIndex,
-    kind: SimilarityKind,
-    theta: f64,
-    worker: u64,
-    start: usize,
-    out: &mut [Vec<u32>],
-    state: &ProbeState<'_>,
-) -> ProbeResult {
-    let tracer = state.observer.tracer();
-    let shard_span = tracer.begin();
-    let mut watch = tracer.stopwatch();
-    let mut batch_ns = LatencyHistogram::new();
-    let n = index.lengths.len();
-    // Stamp-based candidate dedup: `stamp[j] == tick` marks j as already
-    // collected for the current probing row; no clearing between rows.
-    let mut stamp: Vec<u32> = vec![0; n];
-    let mut tick: u32 = 0;
-    let mut cand: Vec<u32> = Vec::new();
-    let mut candidates = 0u64;
-    let mut pruned = 0u64;
-    let mut verified = 0u64;
-    let mut edges = 0u64;
-    let mut unflushed = 0u64;
-    let mut rows_done = 0u64;
-    let mut rows_since_lap = 0u64;
-    let mut trip = None;
-    for (off, row) in out.iter_mut().enumerate() {
-        if off.is_multiple_of(GUARD_STRIDE) {
-            if rows_since_lap > 0 {
-                if let Some(w) = watch.as_mut() {
-                    batch_ns.record(w.lap_ns());
-                }
-                rows_since_lap = 0;
-            }
-            trip = state.poll(unflushed);
-            unflushed = 0;
-            if trip.is_some() || state.stop.load(Ordering::Relaxed) {
-                break;
-            }
+impl Probe {
+    fn new(n: usize) -> Self {
+        Probe {
+            stamp: vec![0; n],
+            tick: 0,
+            cand: Vec::new(),
+            candidates: 0,
+            pruned: 0,
+            verified: 0,
         }
-        let i = start + off;
+    }
+
+    /// Probes row `i` against the index, writing its sorted neighbor list
+    /// into `row`. Returns the edges stored.
+    fn row(
+        &mut self,
+        data: &TransactionSet,
+        index: &JoinIndex,
+        kind: SimilarityKind,
+        theta: f64,
+        i: usize,
+        row: &mut Vec<u32>,
+    ) -> u64 {
         let a = cast::u32_to_usize(index.lengths[i]);
         if a == 0 {
             // Empty rows sit outside the postings: decide every pair by
@@ -500,35 +415,36 @@ fn probe_range(
                 }
             }
         } else if let Some(ti) = data.transaction(i) {
-            tick += 1;
-            cand.clear();
+            self.tick += 1;
+            self.cand.clear();
             for &r in index.prefix_ranks(i) {
                 for &j in index.posting(r) {
-                    if cast::u32_to_usize(j) != i && stamp[cast::u32_to_usize(j)] != tick {
-                        stamp[cast::u32_to_usize(j)] = tick;
-                        cand.push(j);
+                    if cast::u32_to_usize(j) != i && self.stamp[cast::u32_to_usize(j)] != self.tick
+                    {
+                        self.stamp[cast::u32_to_usize(j)] = self.tick;
+                        self.cand.push(j);
                     }
                 }
             }
-            candidates += cast::usize_to_u64(cand.len());
-            for &j in &cand {
+            self.candidates += cast::usize_to_u64(self.cand.len());
+            for &j in &self.cand {
                 let b = cast::u32_to_usize(index.lengths[cast::u32_to_usize(j)]);
                 // Exact size filter: the best similarity these lengths
                 // allow, by the verification predicate itself.
                 if kind.sim_from_counts(a.min(b), a, b) < theta {
-                    pruned += 1;
+                    self.pruned += 1;
                     continue;
                 }
-                verified += 1;
+                self.verified += 1;
                 // Threshold form of `sim_from_counts(|Ti ∩ Tj|, a, b) ≥ θ`
                 // — the size filter passed, so t_min exists for (a, b).
-                let t = cast::u32_to_usize(
-                    index.t_min_for(index.lengths[i], index.lengths[cast::u32_to_usize(j)]),
-                );
-                let hit = if index.words_per_row > 0 {
-                    index.dense_intersection(i, cast::u32_to_usize(j)) >= t
+                let t = index.t_min_for(index.lengths[i], index.lengths[cast::u32_to_usize(j)]);
+                let hit = if let Some(dense) = &index.dense {
+                    // Ranks are a bijection of the interned items, so the
+                    // popcount is exactly |Ti ∩ Tj|.
+                    dense.and_count(i, cast::u32_to_usize(j)) >= t
                 } else if let Some(tj) = data.transaction(cast::u32_to_usize(j)) {
-                    intersects_at_least(ti.items(), tj.items(), t)
+                    intersects_at_least(ti.items(), tj.items(), cast::u32_to_usize(t))
                 } else {
                     false
                 };
@@ -541,41 +457,7 @@ fn probe_range(
             }
             row.sort_unstable();
         }
-        edges += cast::usize_to_u64(row.len());
-        unflushed += cast::usize_to_u64(row.len());
-        rows_done += 1;
-        rows_since_lap += 1;
-    }
-    if rows_since_lap > 0 {
-        if let Some(w) = watch.as_mut() {
-            batch_ns.record(w.lap_ns());
-        }
-    }
-    state.partial_edges.fetch_add(unflushed, Ordering::Relaxed);
-    let done = rows_done + state.done_rows.fetch_add(rows_done, Ordering::Relaxed);
-    state
-        .observer
-        .progress(Phase::Neighbors, done, state.total_rows);
-    if let Some(span) = shard_span {
-        tracer.end(
-            span,
-            "neighbors.probe",
-            Some(Phase::Neighbors),
-            worker,
-            Payload::new()
-                .count("start", cast::usize_to_u64(start))
-                .count("rows", rows_done)
-                .count("candidates", candidates)
-                .count("edges", edges),
-        );
-    }
-    ProbeResult {
-        candidates,
-        pruned,
-        verified,
-        edges,
-        trip,
-        batch_ns,
+        cast::usize_to_u64(row.len())
     }
 }
 
@@ -613,36 +495,32 @@ pub(super) fn compute(
                 .sum::<u64>()
         }
     });
-    let state = ProbeState {
-        stop: AtomicBool::new(false),
-        partial_edges: AtomicU64::new(0),
-        index_bytes: index.bytes,
-        done_rows: AtomicU64::new(0),
-        total_rows: cast::usize_to_u64(n),
+    let run = shard::RowRun {
+        phase: Phase::Neighbors,
+        span: "neighbors.probe",
+        hist: "neighbors.probe_ns",
+        items: "edges",
         observer,
         guard,
+        gauge: &observer.memory().neighbor_graph,
+        base_bytes: index.bytes,
+        item_bytes: cast::usize_to_u64(std::mem::size_of::<u32>()),
+        progress: true,
     };
-    let results = shard::fan_out(&mut lists, &bounds, |worker, start, slice| {
-        probe_range(data, &index, kind, theta, worker, start, slice, &state)
-    });
-    let mut candidates = 0u64;
-    let mut pruned = 0u64;
-    let mut verified = 0u64;
-    let mut edges = 0u64;
-    let mut trip: Option<Trip> = None;
-    for (w, result) in results.into_iter().enumerate() {
-        candidates += result.candidates;
-        pruned += result.pruned;
-        verified += result.verified;
-        edges += result.edges;
-        trip = trip.or(result.trip);
-        if result.batch_ns.count() > 0 {
-            observer.tracer().record_hist(
-                "neighbors.probe_ns",
-                Some(cast::usize_to_u64(w)),
-                &result.batch_ns,
-            );
-        }
+    let done = shard::guarded_rows(
+        &run,
+        &mut lists,
+        &bounds,
+        || Probe::new(n),
+        |probe, i, row| probe.row(data, &index, kind, theta, i, row),
+        |probe, payload| payload.count("candidates", probe.candidates),
+    );
+    let (edges, trip) = (done.items, done.trip);
+    let (mut candidates, mut pruned, mut verified) = (0u64, 0u64, 0u64);
+    for probe in &done.states {
+        candidates += probe.candidates;
+        pruned += probe.pruned;
+        verified += probe.verified;
     }
     // Deterministic closing observe: every mid-probe poll reported
     // `index.bytes + partial·4` with `partial ≤ edges`, so this value

@@ -1,5 +1,5 @@
 //! The one row-parallel executor of rock-core ([`fan_out`]), its
-//! thread-count rule and its two partitions.
+//! thread-count rule, its two partitions and its guarded row loop.
 //!
 //! The link kernel (DESIGN.md §13), the brute-force neighbor scan, the
 //! join probe (DESIGN.md §17) and §4.2 labeling all compute independent
@@ -9,9 +9,22 @@
 //! come back in range order, so the output is byte-identical for any
 //! thread count. [`equal_bounds`] balances row counts;
 //! [`weighted_bounds`] balances a per-row work estimate, for kernels
-//! whose hub rows dominate.
+//! whose hub rows dominate. [`guarded_rows`] runs a per-row closure on
+//! top of [`fan_out`] under a [`Guard`], for the phases that must stop
+//! mid-kernel (the link kernels and the join probe).
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::cast;
+use crate::guard::{Guard, Trip};
+use crate::telemetry::trace::{LatencyHistogram, Payload};
+use crate::telemetry::{MemoryGauges, Observer, Phase};
+
+/// How often (in rows) each [`guarded_rows`] worker polls the guard and
+/// flushes its stored-item tally into the memory gauge. A poll reads two
+/// or three atomics plus (rarely) the clock, so a small stride keeps
+/// trips responsive without measurable kernel overhead.
+pub(crate) const GUARD_STRIDE: usize = 64;
 
 /// Resolves a `threads` request: `0` means auto (one per CPU, capped at
 /// 16), and tiny inputs stay single-threaded to avoid spawn overhead.
@@ -127,10 +140,147 @@ where
     })
 }
 
+/// What a [`guarded_rows`] run reports, and where.
+pub(crate) struct RowRun<'a> {
+    /// Phase named in trips, spans and progress events.
+    pub(crate) phase: Phase,
+    /// Name of the span each worker emits when tracing.
+    pub(crate) span: &'static str,
+    /// Name of the per-worker stride-lap histogram.
+    pub(crate) hist: &'static str,
+    /// Payload key of the stored-item tally in the worker span.
+    pub(crate) items: &'static str,
+    pub(crate) observer: &'a Observer,
+    pub(crate) guard: &'a Guard,
+    /// Gauge the growing output streams into, as
+    /// `base_bytes + items · item_bytes` over every worker's flushed items.
+    pub(crate) gauge: &'a AtomicU64,
+    pub(crate) base_bytes: u64,
+    pub(crate) item_bytes: u64,
+    /// Emit one [`Observer::progress`] event as each worker finishes.
+    pub(crate) progress: bool,
+}
+
+/// Result of a [`guarded_rows`] run: per-worker kernel states in range
+/// order, the stored items over all workers, and the trip that stopped
+/// the run, if any.
+pub(crate) struct RowsDone<S> {
+    pub(crate) states: Vec<S>,
+    pub(crate) items: u64,
+    pub(crate) trip: Option<Trip>,
+}
+
+/// Runs `row(&mut state, i, &mut out[i])` for every row under `run.guard`,
+/// the ranges `bounds` on [`fan_out`] workers, each with its own
+/// `init()` state. `row` returns the items it stored. Every
+/// [`GUARD_STRIDE`] rows a worker flushes its unflushed items into the
+/// gauge (always at or below the finished output's footprint, so the
+/// high-water mark of a completed run does not depend on the
+/// interleaving) and polls [`Guard::checkpoint`]; the first worker to
+/// trip broadcasts stop and the others leave at their next poll. When
+/// tracing, each worker emits one `run.span` span (`start`, `rows`, then
+/// `payload(&state)`'s keys, then `run.items`) and a lap histogram of its
+/// stride batches, recorded as `run.hist` in range order.
+pub(crate) fn guarded_rows<T, S>(
+    run: &RowRun<'_>,
+    out: &mut [T],
+    bounds: &[usize],
+    init: impl Fn() -> S + Sync,
+    row: impl Fn(&mut S, usize, &mut T) -> u64 + Sync,
+    payload: impl Fn(&S, Payload) -> Payload + Sync,
+) -> RowsDone<S>
+where
+    T: Send,
+    S: Send,
+{
+    let stop = AtomicBool::new(false);
+    let flushed = AtomicU64::new(0);
+    let done_rows = AtomicU64::new(0);
+    let total_rows = cast::usize_to_u64(out.len());
+    let tracer = run.observer.tracer();
+    // Flushes `delta` fresh items into the gauge and consults the guard;
+    // returns the trip, if any, after broadcasting stop.
+    let poll = |delta: u64| -> Option<Trip> {
+        let items = delta + flushed.fetch_add(delta, Ordering::Relaxed);
+        MemoryGauges::observe(run.gauge, run.base_bytes + items * run.item_bytes);
+        if stop.load(Ordering::Relaxed) {
+            return None; // another worker already tripped and reported
+        }
+        let trip = run.guard.checkpoint(run.phase, run.observer)?;
+        stop.store(true, Ordering::Relaxed);
+        Some(trip)
+    };
+    let workers = fan_out(out, bounds, |worker, start, slice| {
+        let span = tracer.begin();
+        let mut watch = tracer.stopwatch();
+        let mut laps = LatencyHistogram::new();
+        let mut state = init();
+        let (mut items, mut unflushed, mut rows_done, mut since_lap) = (0u64, 0u64, 0u64, 0u64);
+        let mut trip = None;
+        for (off, cell) in slice.iter_mut().enumerate() {
+            if off.is_multiple_of(GUARD_STRIDE) {
+                if since_lap > 0 {
+                    if let Some(w) = watch.as_mut() {
+                        laps.record(w.lap_ns());
+                    }
+                    since_lap = 0;
+                }
+                trip = poll(unflushed);
+                unflushed = 0;
+                if trip.is_some() || stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+            let stored = row(&mut state, start + off, cell);
+            items += stored;
+            unflushed += stored;
+            rows_done += 1;
+            since_lap += 1;
+        }
+        if since_lap > 0 {
+            if let Some(w) = watch.as_mut() {
+                laps.record(w.lap_ns());
+            }
+        }
+        flushed.fetch_add(unflushed, Ordering::Relaxed);
+        if run.progress {
+            let done = rows_done + done_rows.fetch_add(rows_done, Ordering::Relaxed);
+            run.observer.progress(run.phase, done, total_rows);
+        }
+        if let Some(span) = span {
+            let head = Payload::new()
+                .count("start", cast::usize_to_u64(start))
+                .count("rows", rows_done);
+            tracer.end(
+                span,
+                run.span,
+                Some(run.phase),
+                worker,
+                payload(&state, head).count(run.items, items),
+            );
+        }
+        (state, items, trip, laps)
+    });
+    let mut done = RowsDone {
+        states: Vec::with_capacity(workers.len()),
+        items: 0,
+        trip: None,
+    };
+    for (w, (state, items, trip, laps)) in workers.into_iter().enumerate() {
+        done.states.push(state);
+        done.items += items;
+        done.trip = done.trip.or(trip);
+        if laps.count() > 0 {
+            tracer.record_hist(run.hist, Some(cast::usize_to_u64(w)), &laps);
+        }
+    }
+    done
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     fn check_invariants(bounds: &[usize], n: usize, shards: usize) {
         assert_eq!(bounds.len(), shards + 1);
@@ -283,6 +433,76 @@ mod tests {
         assert_eq!(ids, vec![caller]);
         let ids = fan_out(&mut out, &[0, 1, 3], |_, _, _| std::thread::current().id());
         assert!(ids.iter().all(|&id| id != caller), "several ranges spawn");
+    }
+
+    #[test]
+    fn a_trip_in_one_worker_stops_every_worker() {
+        // The row closure cancels the run's token at its `k`-th row. The
+        // worker that cancelled trips at its next poll, within one
+        // stride; every other worker leaves at a poll long before its
+        // range ends.
+        let k = 300u64;
+        for threads in [1usize, 2, 4] {
+            let n = threads * 200 * GUARD_STRIDE;
+            let observer = Observer::new();
+            let guard = Guard::unlimited();
+            let gauge = AtomicU64::new(0);
+            let run = RowRun {
+                phase: Phase::Links,
+                span: "test.rows",
+                hist: "test.rows_ns",
+                items: "items",
+                observer: &observer,
+                guard: &guard,
+                gauge: &gauge,
+                base_bytes: 0,
+                item_bytes: 8,
+                progress: false,
+            };
+            let seen = AtomicU64::new(0);
+            let cancelled_at = AtomicUsize::new(usize::MAX);
+            let bounds = equal_bounds(n, threads);
+            let mut out = vec![0u8; n];
+            let done = guarded_rows(
+                &run,
+                &mut out,
+                &bounds,
+                || 0usize,
+                |rows, i, cell| {
+                    *rows += 1;
+                    *cell = 1;
+                    if seen.fetch_add(1, Ordering::Relaxed) + 1 == k {
+                        cancelled_at.store(i, Ordering::Relaxed);
+                        guard.cancel_token().cancel();
+                    }
+                    1
+                },
+                |_, payload| payload,
+            );
+            let trip = done.trip.expect("the cancellation surfaces as the trip");
+            assert_eq!(trip.phase, Phase::Links, "threads {threads}");
+            assert_eq!(
+                trip.reason,
+                crate::guard::TripReason::Cancelled,
+                "threads {threads}"
+            );
+            let rows: usize = done.states.iter().sum();
+            assert!(cast::usize_to_u64(rows) >= k, "threads {threads}");
+            assert_eq!(cast::usize_to_u64(rows), done.items, "threads {threads}");
+            assert_eq!(out.iter().filter(|&&c| c == 1).count(), rows);
+            assert!(gauge.load(Ordering::Relaxed) <= done.items * 8);
+            let at = cancelled_at.load(Ordering::Relaxed);
+            for (w, range) in bounds.windows(2).enumerate() {
+                let did = done.states[w];
+                // Each worker ran a prefix of its range, and stopped early.
+                assert!(out[range[0]..range[0] + did].iter().all(|&c| c == 1));
+                assert!(did < range[1] - range[0], "threads {threads} worker {w}");
+                if (range[0]..range[1]).contains(&at) {
+                    let stride_end = ((at - range[0]) / GUARD_STRIDE + 1) * GUARD_STRIDE;
+                    assert!(did <= stride_end, "threads {threads}: {did} rows");
+                }
+            }
+        }
     }
 
     #[test]

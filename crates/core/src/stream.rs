@@ -16,8 +16,10 @@
 //! two leaves a partial file *longer* than the checkpoint records, which
 //! resume truncates back to the recorded length and verifies against the
 //! recorded running FNV state — so a process killed at *any* point
-//! resumes to assignments byte-identical to an uninterrupted run. A
-//! corrupt or inconsistent checkpoint fails closed
+//! resumes to assignments byte-identical to an uninterrupted run. Power
+//! loss is not covered: the checkpoint replacement is atomic against
+//! process death only ([`StreamCheckpoint::save`](crate::checkpoint::StreamCheckpoint::save)).
+//! A corrupt or inconsistent checkpoint fails closed
 //! ([`RockError::CheckpointInvalid`], exit code 4); it never silently
 //! restarts.
 //!

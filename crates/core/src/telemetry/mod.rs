@@ -379,7 +379,8 @@ impl PipelineCounters {
 pub struct MemoryGauges {
     /// Neighbor-graph adjacency lists.
     pub neighbor_graph: AtomicU64,
-    /// Link-table sparse rows.
+    /// Link-table sparse rows, plus the graph's bit matrix when the
+    /// bit-matrix link kernel builds one.
     pub link_table: AtomicU64,
     /// Merge-engine heaps (global + all local heaps).
     pub heaps: AtomicU64,

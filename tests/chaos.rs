@@ -180,14 +180,67 @@ fn memory_budget_trips_mid_link_phase_under_parallel_workers() {
     assert!(neighbor_bytes > 0);
 
     let guard = Guard::new(RunBudget::unlimited().memory(neighbor_bytes + 512));
-    let outcome = build()
-        .fit_guarded(&data, &Observer::new(), &guard)
-        .unwrap();
+    let tripped = Observer::new();
+    let outcome = build().fit_guarded(&data, &tripped, &guard).unwrap();
     assert!(outcome.is_degraded());
     let d = outcome.degradation().unwrap();
     assert_eq!(d.phase, Phase::Links);
     assert!(matches!(d.reason, TripReason::MemoryBudget { .. }));
+    // Inside the workers: after some kernel rows, before all of them.
+    let steps = tripped.counters().snapshot().link_kernel_steps;
+    let full = observer.counters().snapshot().link_kernel_steps;
+    assert!(0 < steps && steps < full, "{steps} of {full} kernel steps");
     assert_valid_partition(outcome.model(), n);
+}
+
+#[test]
+fn memory_budget_the_list_kernel_fits_under_never_trips() {
+    // Unbudgeted, this dense graph runs the bit-matrix link kernel, whose
+    // matrix counts in the link-table gauge. Under a memory ceiling the
+    // list kernel runs instead, so a budget anywhere from the list
+    // kernel's tracked peak up must complete, with the unbudgeted
+    // partition — not trip on a matrix the run did not need.
+    let (data, n) = mushroom_like(600, 4, 11);
+    let build = || {
+        RockBuilder::new(4, 0.8)
+            .sample(SampleStrategy::All)
+            .threads(2)
+            .seed(11)
+            .build()
+    };
+    let peak = |budget: RunBudget| {
+        let observer = Observer::new();
+        let outcome = build()
+            .fit_guarded(&data, &observer, &Guard::new(budget))
+            .unwrap();
+        (outcome, observer.memory().snapshot().tracked_total())
+    };
+    let (free, bits_peak) = peak(RunBudget::unlimited());
+    let (_, lists_peak) = peak(RunBudget::unlimited().memory(u64::MAX));
+    // The unbudgeted run holds the matrix beside the table: at most
+    // n·⌈n/64⌉·8 bytes more.
+    assert!(
+        lists_peak < bits_peak && bits_peak - lists_peak <= 600 * 10 * 8,
+        "tracked peaks: lists {lists_peak}, bits {bits_peak}"
+    );
+    for budget in [lists_peak, (lists_peak + bits_peak) / 2, bits_peak - 1] {
+        let (outcome, tracked) = peak(RunBudget::unlimited().memory(budget));
+        assert!(
+            !outcome.is_degraded(),
+            "budget {budget}: {:?}",
+            outcome.degradation()
+        );
+        assert_eq!(tracked, lists_peak, "budget {budget}");
+        assert_eq!(outcome.model().assignments(), free.model().assignments());
+        assert_eq!(outcome.model().clusters(), free.model().clusters());
+        assert_valid_partition(outcome.model(), n);
+    }
+    // One byte under the list kernel's peak still trips.
+    let (outcome, _) = peak(RunBudget::unlimited().memory(lists_peak - 1));
+    assert!(matches!(
+        outcome.degradation().map(|d| d.reason),
+        Some(TripReason::MemoryBudget { .. })
+    ));
 }
 
 #[test]

@@ -247,7 +247,9 @@ fn traced_fit_emits_a_deterministic_canonical_stream() {
         let text = std::fs::read_to_string(path).unwrap();
         let summary = validate(&text).expect("stream must be canonical");
         assert_eq!(summary.source, "rock-core");
-        assert_eq!(summary.spans, 10);
+        // Six phase scopes, one worker span each for neighbors, links,
+        // agglomerate and labeling, and the link kernel's `links.select`.
+        assert_eq!(summary.spans, 11);
         assert_eq!(summary.hists, 2);
 
         let records: Vec<TraceRecord> = text
@@ -337,6 +339,7 @@ fn traced_fit_emits_a_deterministic_canonical_stream() {
             ("neighbors.scan", "neighbors"),
             ("phase", "neighbors"),
             ("phase", "outliers"),
+            ("links.select", "links"),
             ("links.shard", "links"),
             ("links.shard_ns", ""),
             ("phase", "links"),
