@@ -205,7 +205,7 @@ gate_bench() {
     ./target/release/exp_mushroom --metrics target/bench/BENCH_mushroom.json >/dev/null
     echo "-- exp_scale (1M-row out-of-core labeling, 64 MiB ceiling)"
     ./target/release/exp_scale --metrics target/bench/BENCH_scale.json >/dev/null
-    echo "-- exp_serve (loopback load + batching + reload soak)"
+    echo "-- exp_serve (loopback load + NDJSON bodies + reload soak)"
     cargo build --offline --release -q -p rock-serve
     ./target/release/exp_serve --metrics target/bench/BENCH_serve.json >/dev/null
     echo "-- bench_check BENCH_scalability.json"
@@ -243,8 +243,8 @@ gate_bench() {
     # Loopback serving throughput swings ±30% run to run on small
     # machines (the load generator and the server share the cores, so
     # scheduler noise lands directly in the rps/pps columns); the wider
-    # tolerance still flags a real regression — the batching win being
-    # defended here is >5× the floor.
+    # tolerance still flags a real regression — the win of 64-line NDJSON
+    # bodies over single-point requests defended here is >5× the floor.
     echo "-- bench_check BENCH_serve.json (tolerance 0.5: shared-core loopback noise)"
     ./target/release/bench_check \
         --baseline results/BENCH_serve.json \

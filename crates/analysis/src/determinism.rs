@@ -581,15 +581,11 @@ const GUARD_FILES: [&str; 10] = [
 
 /// Serve registry/admin files whose unbounded loops must poll the
 /// shutdown flag instead of the `Guard`: the accept loop, the worker
-/// pool, the batcher's leader/follower waits, and the registry swap
-/// path all run for the lifetime of the server — a loop there that
-/// cannot observe `stop`/`stopping` turns graceful shutdown into a
-/// hang with connections still pinned to a retired model.
-const SERVE_GUARD_FILES: [&str; 3] = [
-    "crates/serve/src/server.rs",
-    "crates/serve/src/batch.rs",
-    "crates/serve/src/registry.rs",
-];
+/// pool and the registry swap path all run for the lifetime of the
+/// server — a loop there that cannot observe `stop`/`stopping` turns
+/// graceful shutdown into a hang with connections still pinned to a
+/// retired model.
+const SERVE_GUARD_FILES: [&str; 2] = ["crates/serve/src/server.rs", "crates/serve/src/registry.rs"];
 
 /// Returns `true` when `path` is core phase or serve registry/admin
 /// code in scope for `guard-loop`.
@@ -777,7 +773,7 @@ mod tests {
         // `while !stop { … }` re-checks the flag every iteration; the
         // poll living in the header must count.
         let src = "fn f(s: &Shared) {\n  while !s.stop.load(Ordering::Acquire) { wait(); }\n}";
-        assert!(run_with("crates/serve/src/batch.rs", &["guard-loop"], src).is_empty());
+        assert!(run_with("crates/serve/src/server.rs", &["guard-loop"], src).is_empty());
     }
 
     #[test]
@@ -786,7 +782,7 @@ mod tests {
         assert!(is_guard_scope("crates/core/src/neighbors/index.rs"));
         assert!(is_guard_scope("crates/core/src/shard.rs"));
         assert!(is_guard_scope("crates/serve/src/registry.rs"));
-        assert!(is_guard_scope("crates/serve/src/batch.rs"));
+        assert!(is_guard_scope("crates/serve/src/server.rs"));
         assert!(!is_guard_scope("crates/serve/src/http.rs"));
         assert!(!is_guard_scope("crates/core/src/data.rs"));
     }

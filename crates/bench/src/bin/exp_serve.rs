@@ -12,8 +12,10 @@
 //! * a **concurrent** phase (4 connections, one point per request)
 //!   measures aggregate request throughput,
 //! * a **batched** phase (4 connections, 64-line NDJSON bodies)
-//!   measures point throughput through the per-model group-commit
-//!   batcher — the headline serving-throughput number,
+//!   measures point throughput when one request carries 64 points, so
+//!   its HTTP round trip, parse and write are spread over the whole
+//!   body and its points are labeled by one kernel call — the headline
+//!   serving-throughput number,
 //! * a **reload soak**: the same sustained labeling load while an admin
 //!   thread hot-swaps the default model back and forth between two
 //!   *different* fits. Every response is checked against the
@@ -164,7 +166,7 @@ fn main() {
     let conc_total = CONCURRENT_CONNS * per_conn;
     let conc_rps = conc_total as f64 / conc_wall.as_secs_f64();
 
-    // ── Batched phase: NDJSON bodies through the group-commit batcher ──
+    // ── Batched phase: 64-line NDJSON bodies, one kernel call each ─────
     let batches_per_conn = opts.scaled(32, 4);
     let batch_start = Instant::now();
     std::thread::scope(|scope| {

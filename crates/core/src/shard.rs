@@ -29,18 +29,22 @@ pub(crate) const GUARD_STRIDE: usize = 64;
 /// Resolves a `threads` request: `0` means auto (one per CPU, capped at
 /// 16), and tiny inputs stay single-threaded to avoid spawn overhead.
 /// Shared by every row-sharded phase (neighbors, links, labeling) so one
-/// knob means the same thing everywhere.
+/// knob means the same thing everywhere. The CPU count is asked for only
+/// under auto: std re-reads the cgroup quota on every call, which costs
+/// more than labeling a small chunk.
 pub(crate) fn effective_threads(requested: usize, n: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16);
-    let t = if requested == 0 { hw } else { requested };
     if n < 256 {
-        1
-    } else {
-        t.min(n)
+        return 1;
     }
+    let t = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(16)
+    } else {
+        requested
+    };
+    t.min(n)
 }
 
 /// Splits `0..n` into ranges of `ceil(n / threads)` rows (the last one

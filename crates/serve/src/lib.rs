@@ -18,10 +18,10 @@
 //! across listener threads into a bounded connection queue drained by a
 //! fixed worker pool, sheds load with `503 Retry-After` when the queue
 //! is full, bounds each request with a
-//! [`RunBudget`](rock_core::guard::RunBudget) wall deadline, coalesces
-//! concurrent labeling requests through a per-model group-commit
-//! [`batch`] queue, and drains in-flight work before flushing metrics
-//! on shutdown. Models live in the [`registry`]: validated
+//! [`RunBudget`](rock_core::guard::RunBudget) wall deadline, labels
+//! each request's points with one kernel call on the worker that parsed
+//! it, and drains in-flight work before flushing metrics on shutdown.
+//! Models live in the [`registry`]: validated
 //! `rock-model/v1` snapshots behind a hand-rolled epoch-based Arc swap,
 //! so an admin upload activates atomically while in-flight requests
 //! finish on the model they pinned at dispatch.
@@ -56,12 +56,10 @@
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod http;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchOptions, BatchReport, Batcher};
 pub use http::{HttpError, Request, Response};
 pub use registry::{ModelEntry, ModelSlot, ModelState, Registry};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -60,8 +60,6 @@ usage: rock-serve --model [NAME=]<path> [options]
   --admin-max-body <bytes>
                         /admin/ body limit (snapshot uploads)
                         [default 67108864]
-  --batch-max <n>       micro-batch point cap   [default 256]
-  --batch-wait-us <n>   micro-batch max wait    [default 200]
   --metrics <path>      write final metrics JSON here (default: stderr)
   --trace <path>        write a rock-trace/v1 NDJSON event stream here
                         (serve.request/serve.batch/serve.swap spans;
@@ -141,17 +139,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String
                 config.admin_max_body = value("--admin-max-body")?
                     .parse()
                     .map_err(|_| format!("--admin-max-body expects an integer\n{USAGE}"))?;
-            }
-            "--batch-max" => {
-                config.batch_max = value("--batch-max")?
-                    .parse()
-                    .map_err(|_| format!("--batch-max expects an integer\n{USAGE}"))?;
-            }
-            "--batch-wait-us" => {
-                let us: u64 = value("--batch-wait-us")?
-                    .parse()
-                    .map_err(|_| format!("--batch-wait-us expects an integer\n{USAGE}"))?;
-                config.batch_wait = Duration::from_micros(us);
             }
             "--metrics" => metrics = Some(PathBuf::from(value("--metrics")?)),
             "--trace" => config.trace = Some(PathBuf::from(value("--trace")?)),
@@ -263,10 +250,6 @@ mod tests {
             "4096",
             "--admin-max-body",
             "8192",
-            "--batch-max",
-            "512",
-            "--batch-wait-us",
-            "50",
             "--metrics",
             "serve.json",
             "--trace",
@@ -289,8 +272,6 @@ mod tests {
         assert_eq!(o.config.deadline, Duration::from_millis(250));
         assert_eq!(o.config.max_body, 4096);
         assert_eq!(o.config.admin_max_body, 8192);
-        assert_eq!(o.config.batch_max, 512);
-        assert_eq!(o.config.batch_wait, Duration::from_micros(50));
         assert_eq!(o.metrics, Some(PathBuf::from("serve.json")));
         assert_eq!(o.config.trace, Some(PathBuf::from("serve.trace")));
         assert_eq!(o.config.slow_request, Duration::from_millis(40));
@@ -318,6 +299,10 @@ mod tests {
     #[test]
     fn rejects_unknown_and_unparsable_flags() {
         assert!(parse(&["--model", "m", "--wat"]).is_err());
+        for flag in ["--batch-max", "--batch-wait-us"] {
+            let err = parse(&["--model", "m", flag, "8"]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
         assert!(parse(&["--model", "m", "--threads", "many"]).is_err());
         assert!(parse(&["--model"]).is_err());
     }

@@ -40,8 +40,6 @@ use rock_core::error::{Result, RockError};
 use rock_core::snapshot::ModelSnapshot;
 use rock_core::telemetry::trace::LatencyHistogram;
 
-use crate::batch::Batcher;
-
 /// The default model name: `POST /label` routes here.
 pub const DEFAULT_MODEL: &str = "default";
 
@@ -214,9 +212,10 @@ pub struct ModelCounters {
     pub labeled: AtomicU64,
     /// Points answered `{"cluster":null}` by this model.
     pub outlier: AtomicU64,
-    /// Micro-batches executed against this model.
+    /// Labeling kernel calls against this model: one per labeling
+    /// request, whose NDJSON body is labeled as one batch.
     pub batches: AtomicU64,
-    /// Points that flowed through those batches.
+    /// Points labeled by those calls.
     pub batch_points: AtomicU64,
 }
 
@@ -240,8 +239,8 @@ impl ModelCounters {
 // ------------------------------------------------------------------- Slot
 
 /// One named mount point: the current entry behind an [`EpochSwap`],
-/// version sequence, per-model counters, the model's micro-batching
-/// queue and its batch-latency histogram.
+/// version sequence, per-model counters and the latency histogram of
+/// its labeling kernel calls (one per labeling request).
 pub struct ModelSlot {
     name: String,
     swap: EpochSwap<ModelEntry>,
@@ -250,7 +249,6 @@ pub struct ModelSlot {
     swaps: AtomicU64,
     rejected_swaps: AtomicU64,
     counters: ModelCounters,
-    batcher: Batcher,
     batch_hist: Mutex<LatencyHistogram>,
 }
 
@@ -264,7 +262,6 @@ impl ModelSlot {
             swaps: AtomicU64::new(0),
             rejected_swaps: AtomicU64::new(0),
             counters: ModelCounters::default(),
-            batcher: Batcher::new(),
             batch_hist: Mutex::new(LatencyHistogram::new()),
         }
     }
@@ -289,17 +286,12 @@ impl ModelSlot {
         &self.counters
     }
 
-    /// The slot's micro-batching queue.
-    pub fn batcher(&self) -> &Batcher {
-        &self.batcher
-    }
-
-    /// Records one batch execution latency (nanoseconds).
+    /// Records the latency of one labeling kernel call (nanoseconds).
     pub fn record_batch_ns(&self, ns: u64) {
         lock(&self.batch_hist).record(ns);
     }
 
-    /// A copy of the batch-latency histogram.
+    /// A copy of the kernel-call latency histogram.
     pub fn batch_hist(&self) -> LatencyHistogram {
         lock(&self.batch_hist).clone()
     }
@@ -691,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_unmounts_but_in_flight_entries_survive() {
+    fn remove_unmounts_but_pinned_entries_survive() {
         let reg = Registry::new();
         reg.install("default", model_a()).unwrap();
         let (_, pinned) = reg.resolve("default").unwrap();

@@ -1,5 +1,5 @@
 //! The labeling server: registry, worker pool, routing, load shedding,
-//! batching, metrics.
+//! metrics.
 //!
 //! Architecture (all `std`, no `unsafe`):
 //!
@@ -9,8 +9,8 @@
 //!      │                                     parse → route ┤
 //!      └── queue full: inline 503 + Retry-After            │
 //!                                                          ▼
-//!               Registry ──► ModelSlot ──► Batcher ──► label_chunk
-//!            (epoch Arc-swap    (per-model group commit)
+//!               Registry ──► ModelSlot ──► ModelEntry ──► label_chunk
+//!            (epoch Arc-swap    (pinned at dispatch)   (on the worker)
 //!             per model name)
 //! ```
 //!
@@ -21,18 +21,17 @@
 //! `Retry-After` directly on the accepted socket and closes it —
 //! back-pressure is explicit, never an unbounded backlog. Each labeling
 //! request runs under a [`Guard`] with a wall-clock [`RunBudget`]; a
-//! request that exceeds the deadline mid-batch is answered `503` and
-//! counted as shed.
+//! request that exceeds the deadline while its body is parsed is
+//! answered `503` and counted as shed.
 //!
 //! Models come from the [`Registry`](crate::registry): `POST /label`
 //! pins the `default` model's current entry at dispatch time and
 //! `POST /models/{name}/label` pins a named one, so an admin hot swap
 //! (`POST /admin/models/{name}`) mid-request is invisible — the request
 //! finishes on the model it pinned, and the response's `X-Rock-Model`
-//! header names exactly which version answered. Concurrent labeling
-//! requests against the same model coalesce through the slot's
-//! group-commit [`Batcher`](crate::batch::Batcher) into single labeling
-//! kernel calls.
+//! header names exactly which version answered. The worker that parsed
+//! a request labels all of its points with one `label_chunk` call
+//! against that pinned entry: a request's NDJSON body is its batch.
 //!
 //! Shutdown (`ServerHandle::shutdown`) stops the acceptors, lets the
 //! workers drain every queued connection, then renders the final
@@ -62,7 +61,6 @@ use rock_core::telemetry::json::{Json, JsonObj};
 use rock_core::telemetry::trace::{LatencyHistogram, Payload};
 use rock_core::telemetry::{Metrics, Observer, Phase, PipelineCounters, RunInfo};
 
-use crate::batch::BatchOptions;
 use crate::http::{read_request, BodyLimits, HttpError, Request, Response};
 use crate::registry::{ModelCounters, Registry, DEFAULT_MODEL};
 
@@ -84,7 +82,7 @@ pub struct ServeConfig {
     /// shards keep accept latency flat when many clients connect at
     /// once; they all feed the same bounded queue.
     pub accept_shards: usize,
-    /// Per-request wall-clock deadline (enforced between batch lines).
+    /// Per-request wall-clock deadline (enforced between body lines).
     pub deadline: Duration,
     /// Largest accepted request body on non-admin paths, in bytes
     /// (beyond it: 413).
@@ -93,20 +91,12 @@ pub struct ServeConfig {
     /// are whole `rock-model/v1` renderings, far bigger than label
     /// queries.
     pub admin_max_body: usize,
-    /// Micro-batching: stop waiting for more concurrent labeling
-    /// requests once this many points are pending for one model.
-    pub batch_max: usize,
-    /// Micro-batching: upper bound on how long the first request of a
-    /// batch waits for followers. Zero disables the wait (requests
-    /// still coalesce when they arrive together). A lone request never
-    /// waits regardless.
-    pub batch_wait: Duration,
     /// Write a `rock-trace/v1` NDJSON event stream to this path while
     /// the server runs (`None` = tracing disabled, the near-zero-cost
     /// default). Each handled request becomes a `serve.request` span,
-    /// each executed batch a `serve.batch` span and each admin swap a
-    /// `serve.swap` span; the request- and batch-latency histograms are
-    /// flushed at shutdown.
+    /// the labeling kernel call of each labeling request a `serve.batch`
+    /// span and each admin swap a `serve.swap` span; the request- and
+    /// batch-latency histograms are flushed at shutdown.
     pub trace: Option<PathBuf>,
     /// Requests slower than this are flagged `"slow":1` in their trace
     /// span payload, making outliers trivially grep-able.
@@ -123,8 +113,6 @@ impl Default for ServeConfig {
             deadline: Duration::from_secs(1),
             max_body: 1 << 20,
             admin_max_body: 64 << 20,
-            batch_max: 256,
-            batch_wait: Duration::from_micros(200),
             trace: None,
             slow_request: Duration::from_millis(100),
         }
@@ -143,7 +131,7 @@ struct ServeCounters {
     outlier: AtomicU64,
     /// Requests refused as client errors (4xx/405/404/501).
     rejected: AtomicU64,
-    /// Connections or batches dropped by load shedding (queue full,
+    /// Connections or requests dropped by load shedding (queue full,
     /// deadline exceeded, or no model mounted → 503).
     shed: AtomicU64,
 }
@@ -206,9 +194,6 @@ struct Shared {
     latency: Mutex<LatencyHistogram>,
     /// Monotonic request ids for trace spans.
     request_seq: AtomicU64,
-    /// Labeling requests currently in flight — the batcher's hint that
-    /// a leader is alone and should skip the follower wait.
-    in_flight: AtomicU64,
 }
 
 /// Locks a mutex, recovering the guard if a worker panicked while
@@ -227,26 +212,6 @@ fn lock_latency(shared: &Shared) -> MutexGuard<'_, LatencyHistogram> {
     match shared.latency.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// RAII in-flight tally for labeling requests.
-struct Flight<'a> {
-    counter: &'a AtomicU64,
-}
-
-impl<'a> Flight<'a> {
-    /// Enters flight; returns the guard and the in-flight count
-    /// including this request.
-    fn enter(counter: &'a AtomicU64) -> (Self, u64) {
-        let now = counter.fetch_add(1, Ordering::Relaxed) + 1;
-        (Flight { counter }, now)
-    }
-}
-
-impl Drop for Flight<'_> {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -292,7 +257,6 @@ impl Server {
         };
         config.queue_capacity = config.queue_capacity.max(1);
         config.accept_shards = config.accept_shards.clamp(1, 8);
-        config.batch_max = config.batch_max.max(1);
         let io = |message: String| RockError::Io {
             path: config.addr.clone(),
             message,
@@ -314,7 +278,6 @@ impl Server {
             started: Instant::now(),
             latency: Mutex::new(LatencyHistogram::new()),
             request_seq: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
         });
         if let Some(path) = &shared.config.trace {
             shared.observer.tracer().start_to_path(path, "rock-serve")?;
@@ -332,39 +295,20 @@ impl Server {
                 })?;
             workers.push(worker);
         }
+        let acceptor_io = |e: std::io::Error| RockError::Io {
+            path: "rock-serve acceptor".into(),
+            message: e.to_string(),
+        };
         let mut acceptors = Vec::with_capacity(shared.config.accept_shards);
         for i in 0..shared.config.accept_shards {
             // Every shard polls its own clone of the same socket; the
             // non-blocking flag set above is shared by all clones.
-            let shard_listener = if i + 1 == shared.config.accept_shards {
-                None
-            } else {
-                Some(listener.try_clone().map_err(|e| RockError::Io {
-                    path: "rock-serve acceptor".into(),
-                    message: e.to_string(),
-                })?)
-            };
+            let own = listener.try_clone().map_err(acceptor_io)?;
             let shared = Arc::clone(&shared);
-            let own = shard_listener;
-            let original = if own.is_none() {
-                Some(listener.try_clone().map_err(|e| RockError::Io {
-                    path: "rock-serve acceptor".into(),
-                    message: e.to_string(),
-                })?)
-            } else {
-                None
-            };
             let acceptor = std::thread::Builder::new()
                 .name(format!("rock-serve-acceptor-{i}"))
-                .spawn(move || {
-                    if let Some(l) = own.or(original) {
-                        accept_loop(&l, &shared);
-                    }
-                })
-                .map_err(|e| RockError::Io {
-                    path: "rock-serve acceptor".into(),
-                    message: e.to_string(),
-                })?;
+                .spawn(move || accept_loop(&own, &shared))
+                .map_err(acceptor_io)?;
             acceptors.push(acceptor);
         }
 
@@ -420,10 +364,6 @@ impl ServerHandle {
             // joining them first guarantees no connection is enqueued
             // after `stopping` is set.
             acceptor.join().ok();
-        }
-        // Unblock any worker parked in a batcher wait.
-        for slot in self.shared.registry.slots() {
-            slot.batcher().shutdown();
         }
         {
             let mut queue = lock_queue(&self.shared);
@@ -858,10 +798,9 @@ fn handle_admin_delete(shared: &Shared, worker: u64, name: &str) -> Response {
 /// line (a single object is a batch of one); each line answers
 /// `{"cluster":<id>}` or `{"cluster":null}`, labeled by the model entry
 /// pinned at dispatch time (named by the `X-Rock-Model` response
-/// header). Points flow through the model's group-commit batcher so
-/// concurrent requests share labeling kernel calls.
+/// header). The whole body is labeled by one `label_chunk` call on this
+/// worker, counted and timed as one batch of the model.
 fn handle_label(shared: &Shared, worker: u64, model_name: &str, body: &[u8]) -> Response {
-    let (_flight, in_flight) = Flight::enter(&shared.in_flight);
     // Pin the active entry now: a hot swap from here on is invisible to
     // this request.
     let Some((slot, entry)) = shared.registry.resolve(model_name) else {
@@ -883,7 +822,6 @@ fn handle_label(shared: &Shared, worker: u64, model_name: &str, body: &[u8]) -> 
     };
     let guard = Guard::new(RunBudget::unlimited().wall(shared.config.deadline));
     let mut points: Vec<Transaction> = Vec::new();
-    let mut lines = 0usize;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -893,47 +831,40 @@ fn handle_label(shared: &Shared, worker: u64, model_name: &str, body: &[u8]) -> 
             .checkpoint(Phase::Labeling, &shared.observer)
             .is_some()
         {
-            // Deadline exceeded mid-batch: shed the rest rather than
+            // Deadline exceeded mid-body: shed the rest rather than
             // hold a worker hostage. 503 invites a retry with a
-            // smaller batch.
+            // smaller body.
             ServeCounters::bump(&shared.counters.shed);
             return Response::text(503, "Service Unavailable", "deadline exceeded\n")
                 .header("Retry-After", "1");
         }
-        lines += 1;
         match parse_query(model, line) {
             Ok(point) => points.push(point),
             Err(message) => {
                 ServeCounters::bump(&shared.counters.rejected);
-                return Response::text(400, "Bad Request", format!("line {lines}: {message}\n"));
+                let at = points.len() + 1;
+                return Response::text(400, "Bad Request", format!("line {at}: {message}\n"));
             }
         }
     }
-    if lines == 0 {
+    if points.is_empty() {
         ServeCounters::bump(&shared.counters.rejected);
         return Response::text(400, "Bad Request", "empty body\n");
     }
-    let opts = BatchOptions {
-        max_points: shared.config.batch_max,
-        max_wait: shared.config.batch_wait,
-        threads: 1,
-    };
+    let n = usize_to_u64(points.len());
     let span = shared.observer.tracer().begin();
-    let (labels, report) = slot.batcher().submit(&entry, points, &opts, in_flight <= 1);
-    if let Some(report) = report {
-        slot.record_batch_ns(report.elapsed_ns);
-        ModelCounters::add(&slot.counters().batches, 1);
-        ModelCounters::add(&slot.counters().batch_points, report.points);
-        if let Some(s) = span {
-            let payload = Payload::new()
-                .str("model", slot.name())
-                .count("jobs", report.jobs)
-                .count("points", report.points);
-            shared
-                .observer
-                .tracer()
-                .end(s, "serve.batch", Some(Phase::Labeling), worker, payload);
-        }
+    let clock = Instant::now();
+    let refs: Vec<&Transaction> = points.iter().collect();
+    let labels = model.label_chunk(&refs, 1);
+    slot.record_batch_ns(duration_ns(clock.elapsed()));
+    ModelCounters::add(&slot.counters().batches, 1);
+    ModelCounters::add(&slot.counters().batch_points, n);
+    if let Some(s) = span {
+        let payload = Payload::new().str("model", slot.name()).count("points", n);
+        shared
+            .observer
+            .tracer()
+            .end(s, "serve.batch", Some(Phase::Labeling), worker, payload);
     }
     let mut answers = String::new();
     let mut labeled = 0u64;
@@ -957,7 +888,7 @@ fn handle_label(shared: &Shared, worker: u64, model_name: &str, body: &[u8]) -> 
     PipelineCounters::add(&shared.observer.counters().points_labeled, labeled);
     PipelineCounters::add(
         &shared.observer.counters().labeling_evaluations,
-        usize_to_u64(lines) * usize_to_u64(model.representatives().total()),
+        n * usize_to_u64(model.representatives().total()),
     );
     Response::json(200, "OK", answers)
         .header(
@@ -1244,7 +1175,6 @@ mod tests {
             started: Instant::now(),
             latency: Mutex::new(LatencyHistogram::new()),
             request_seq: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
         }
     }
 

@@ -881,13 +881,11 @@ fn run_label(opts: &LabelOptions) -> Result<(), RockError> {
 
     let transactions = load_label_input(opts, &snapshot)?;
 
-    let assignments: Vec<Option<ClusterId>> = transactions
-        .iter()
-        .map(|t| {
-            snapshot
-                .label(t)
-                .map(|c| ClusterId(rock::core::cast::usize_to_u32(c)))
-        })
+    let refs: Vec<_> = transactions.iter().collect();
+    let assignments: Vec<Option<ClusterId>> = snapshot
+        .label_chunk(&refs, opts.threads)
+        .into_iter()
+        .map(|label| label.map(|c| ClusterId(rock::core::cast::usize_to_u32(c))))
         .collect();
     let assigned = assignments.iter().filter(|a| a.is_some()).count();
     eprintln!(
