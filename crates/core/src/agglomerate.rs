@@ -914,311 +914,167 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The merge engine as it stood before the lazy-heap rewrite, kept as
-/// the plainly correct reference for the seed-loop equivalence tests:
-/// eager `IndexedHeap` local heaps, `HashMap<u32, u64>` link rows, each
-/// kept cluster's heap rebuilt from scratch on every merge. The engine
-/// is verbatim apart from dropping its telemetry methods; [`run`] is the
-/// driver loop of `agglomerate_guarded` without tracing, with the step
-/// budget as a plain merge count.
+/// The paper's merge loop by linear scan, the plainly correct reference
+/// for the engine tests (the shape of `tests/reference.rs`): a dense
+/// count matrix, and before every merge a scan of every live pair, each
+/// side scored with its own size first. The best slot's best partner
+/// wins under the [`GoodnessKey`] order. Checkpoint pruning, the goodness
+/// floor and the history follow `agglomerate_guarded`; the step budget
+/// is a plain merge count.
 #[cfg(test)]
 mod oracle {
-    use std::collections::HashMap;
-
     use super::{AgglomerateConfig, Agglomeration, GoodnessKey, MergeStep};
     use crate::cast;
     use crate::goodness::Goodness;
-    use crate::heap::IndexedHeap;
     use crate::links::LinkTable;
+
+    /// The best merge `(goodness, u, v)`: every live slot's best partner
+    /// under its own-side goodness, then the best slot, ties to the
+    /// smaller id.
+    fn best_merge(
+        good: &Goodness,
+        members: &[Vec<u32>],
+        cross: &[Vec<u64>],
+    ) -> Option<(f64, usize, usize)> {
+        let mut best: Option<(GoodnessKey, u32)> = None;
+        for (a, row) in cross.iter().enumerate() {
+            let local = (0..row.len())
+                .filter(|&b| row[b] > 0)
+                .map(|b| {
+                    let g = good.merge_goodness(row[b], members[a].len(), members[b].len());
+                    GoodnessKey::new(g, cast::usize_to_u32(b))
+                })
+                .max();
+            if let Some(local) = local {
+                let key = GoodnessKey::new(local.goodness(), cast::usize_to_u32(a));
+                if best.is_none_or(|(b, _)| key > b) {
+                    best = Some((key, local.tie()));
+                }
+            }
+        }
+        best.map(|(key, v)| {
+            let (u, v) = (cast::u32_to_usize(key.tie()), cast::u32_to_usize(v));
+            (key.goodness(), u, v)
+        })
+    }
+
+    /// Criterion `E_l` over the live clusters, summed in slot order.
+    fn criterion(good: &Goodness, members: &[Vec<u32>], internal: &[u64]) -> f64 {
+        members
+            .iter()
+            .zip(internal)
+            .filter(|(m, _)| !m.is_empty())
+            .map(|(m, &l)| good.criterion_term(l, m.len()))
+            .sum()
+    }
 
     /// Reference result of `agglomerate_guarded` under a step budget of
     /// `steps` merges (`None` = unlimited).
+    #[allow(clippy::needless_range_loop)] // the count matrix is updated by row and column at once
     pub(super) fn run(
         n: usize,
         links: &LinkTable,
-        goodness: &Goodness,
+        good: &Goodness,
         config: &AgglomerateConfig,
         steps: Option<usize>,
     ) -> Agglomeration {
-        let mut engine = Engine::new(n, links, goodness, config.record_history);
+        let mut cross = vec![vec![0u64; n]; n];
+        for (i, j, c) in links.iter() {
+            let (i, j) = (cast::u32_to_usize(i), cast::u32_to_usize(j));
+            cross[i][j] = u64::from(c);
+            cross[j][i] = u64::from(c);
+        }
+        let mut members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
+        let mut internal = vec![0u64; n];
+        let mut outliers: Vec<u32> = Vec::new();
+        let mut history = Vec::new();
         let checkpoint = config.prune.map(|p| {
             let c = cast::f64_to_usize((p.checkpoint_fraction * cast::usize_to_f64(n)).ceil());
             (c.clamp(config.k, n), p.max_prune_size)
         });
-        let mut pruned_at_checkpoint = checkpoint.is_none();
-        let mut active = n;
+        let mut pruned_once = checkpoint.is_none();
+        let (mut active, mut merges) = (n, 0);
         while active > config.k {
             if let Some((at, max_size)) = checkpoint {
-                if !pruned_at_checkpoint && active <= at {
-                    engine.prune_small(max_size);
-                    pruned_at_checkpoint = true;
-                    active = engine.active_count();
+                if !pruned_once && active <= at {
+                    let victims: Vec<usize> = (0..n)
+                        .filter(|&s| !members[s].is_empty() && members[s].len() <= max_size)
+                        .collect();
+                    if victims.len() < active {
+                        for s in victims {
+                            outliers.append(&mut members[s]);
+                            internal[s] = 0;
+                            for x in 0..n {
+                                cross[s][x] = 0;
+                                cross[x][s] = 0;
+                            }
+                            active -= 1;
+                        }
+                    }
+                    pruned_once = true;
                     if active <= config.k {
                         break;
                     }
                 }
             }
-            if let Some(threshold) = config.min_goodness {
-                if engine.best_goodness().is_none_or(|g| g < threshold) {
+            let found = best_merge(good, &members, &cross);
+            if let Some(floor) = config.min_goodness {
+                if found.is_none_or(|(g, _, _)| g < floor) {
                     break;
                 }
             }
-            if steps.is_some_and(|s| engine.merges >= s) {
+            if steps.is_some_and(|s| merges >= s) {
                 break;
             }
-            if engine.merge_best().is_none() {
+            let Some((g, u, v)) = found else {
                 break;
+            };
+            let sizes = (members[u].len(), members[v].len());
+            let absorbed = std::mem::take(&mut members[v]);
+            members[u].extend(absorbed);
+            internal[u] += internal[v] + 2 * cross[u][v];
+            internal[v] = 0;
+            for x in 0..n {
+                let c = std::mem::take(&mut cross[v][x]);
+                cross[x][v] = 0;
+                if x != u && x != v {
+                    cross[u][x] += c;
+                    cross[x][u] = cross[u][x];
+                }
             }
             active -= 1;
-        }
-        engine.finish(active == config.k)
-    }
-
-    /// Internal merge-engine state.
-    struct Engine<'a> {
-        goodness: &'a Goodness,
-        /// Member lists per slot; empty = inactive slot.
-        members: Vec<Vec<u32>>,
-        /// Cross-link rows per slot: partner slot → link count. Symmetric.
-        rows: Vec<HashMap<u32, u64>>,
-        /// Internal (within-cluster) ordered link counts per slot.
-        internal: Vec<u64>,
-        /// Local heaps.
-        local: Vec<IndexedHeap<GoodnessKey>>,
-        /// Global heap over slots with non-empty local heaps.
-        global: IndexedHeap<GoodnessKey>,
-        history: Vec<MergeStep>,
-        record_history: bool,
-        merges: usize,
-        outliers: Vec<u32>,
-        active: usize,
-    }
-
-    impl<'a> Engine<'a> {
-        #[allow(clippy::needless_range_loop)] // local heaps & rows are parallel arrays
-        fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
-            let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
-            // Build symmetric rows from the upper-triangle link table.
-            let mut rows: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-            for (i, j, c) in links.iter() {
-                rows[cast::u32_to_usize(i)].insert(j, u64::from(c));
-                rows[cast::u32_to_usize(j)].insert(i, u64::from(c));
-            }
-            let mut local: Vec<IndexedHeap<GoodnessKey>> = Vec::with_capacity(n);
-            let mut global = IndexedHeap::with_capacity(n);
-            for i in 0..n {
-                let iu = cast::usize_to_u32(i);
-                let mut h = IndexedHeap::with_capacity(rows[i].len());
-                // rock-analyze: allow(nondet-iter) — order-insensitive: heap pop order is a pure function of the strict GoodnessKey total order, not insertion order.
-                for (&j, &c) in &rows[i] {
-                    h.insert_or_update(j, GoodnessKey::new(goodness.merge_goodness(c, 1, 1), j));
-                }
-                if let Some((best, _)) = h.peek() {
-                    global.insert_or_update(iu, GoodnessKey::new(best.goodness(), iu));
-                }
-                local.push(h);
-            }
-            Engine {
-                goodness,
-                members,
-                rows,
-                internal: vec![0; n],
-                local,
-                global,
-                history: Vec::new(),
-                record_history,
-                merges: 0,
-                outliers: Vec::new(),
-                active: n,
-            }
-        }
-
-        fn active_count(&self) -> usize {
-            self.active
-        }
-
-        #[inline]
-        fn size(&self, slot: u32) -> usize {
-            self.members[cast::u32_to_usize(slot)].len()
-        }
-
-        /// Goodness of the best available merge, if any.
-        fn best_goodness(&self) -> Option<f64> {
-            self.global.peek().map(|(k, _)| k.goodness())
-        }
-
-        /// Recomputes slot `i`'s entry in the global heap from its local heap.
-        fn refresh_global(&mut self, i: u32) {
-            match self.local[cast::u32_to_usize(i)].peek() {
-                Some((best, _)) => self
-                    .global
-                    .insert_or_update(i, GoodnessKey::new(best.goodness(), i)),
-                None => {
-                    self.global.remove(i);
-                }
-            }
-        }
-
-        /// Merges the globally best pair, returning its goodness. `None` when
-        /// no pair exists.
-        fn merge_best(&mut self) -> Option<f64> {
-            let (_, u) = self.global.peek()?;
-            let Some((key, v)) = self.local[cast::u32_to_usize(u)]
-                .peek()
-                .map(|(k, v)| (*k, v))
-            else {
-                // Defensive: a slot in the global heap always has a local best.
-                self.global.remove(u);
-                if self.global.is_empty() {
-                    return None;
-                }
-                return self.merge_best();
-            };
-            self.merge(u, v, key.goodness());
-            Some(key.goodness())
-        }
-
-        /// Merges cluster `v` into cluster `u`.
-        fn merge(&mut self, u: u32, v: u32, goodness_value: f64) {
-            debug_assert_ne!(u, v);
-            let (nu, nv) = (self.size(u), self.size(v));
-            let cross = self.rows[cast::u32_to_usize(u)]
-                .get(&v)
-                .copied()
-                .unwrap_or(0);
-
-            // Fold members and internal links.
-            let v_members = std::mem::take(&mut self.members[cast::u32_to_usize(v)]);
-            self.members[cast::u32_to_usize(u)].extend(v_members);
-            self.internal[cast::u32_to_usize(u)] +=
-                self.internal[cast::u32_to_usize(v)] + 2 * cross;
-            self.internal[cast::u32_to_usize(v)] = 0;
-
-            // Fold v's row into u's; drop the u↔v entry.
-            let v_row = std::mem::take(&mut self.rows[cast::u32_to_usize(v)]);
-            self.rows[cast::u32_to_usize(u)].remove(&v);
-            for (x, c) in v_row {
-                if x == u {
-                    continue;
-                }
-                *self.rows[cast::u32_to_usize(u)].entry(x).or_insert(0) += c;
-            }
-
-            // Repair every affected neighbor x: its row and local heap lose u
-            // and v, gaining the merged cluster (slot u) with updated goodness.
-            let nw = nu + nv;
-            let partners: Vec<(u32, u64, usize)> = self.rows[cast::u32_to_usize(u)]
-                // rock-analyze: allow(nondet-iter) — order-insensitive: each partner row/heap repair is independent and heap order follows the strict GoodnessKey total order.
-                .iter()
-                .map(|(&x, &c)| (x, c, self.members[cast::u32_to_usize(x)].len()))
-                .collect();
-            for &(x, c, nx) in &partners {
-                let g = self.goodness.merge_goodness(c, nx, nw);
-                let xr = &mut self.rows[cast::u32_to_usize(x)];
-                xr.remove(&u);
-                xr.remove(&v);
-                xr.insert(u, c);
-                let xl = &mut self.local[cast::u32_to_usize(x)];
-                xl.remove(u);
-                xl.remove(v);
-                xl.insert_or_update(u, GoodnessKey::new(g, u));
-                self.refresh_global(x);
-            }
-
-            // Rebuild u's local heap, retire v's.
-            self.local[cast::u32_to_usize(v)].clear();
-            self.global.remove(v);
-            let good = self.goodness;
-            let ul = &mut self.local[cast::u32_to_usize(u)];
-            ul.clear();
-            for &(x, c, nx) in &partners {
-                let g = good.merge_goodness(c, nw, nx);
-                ul.insert_or_update(x, GoodnessKey::new(g, x));
-            }
-            self.refresh_global(u);
-            self.active -= 1;
-            self.merges += 1;
-
-            if self.record_history {
-                let criterion = self.criterion();
-                self.history.push(MergeStep {
-                    kept: u,
-                    absorbed: v,
-                    goodness: goodness_value,
-                    sizes: (cast::usize_to_u32(nu), cast::usize_to_u32(nv)),
-                    criterion,
+            merges += 1;
+            if config.record_history {
+                history.push(MergeStep {
+                    kept: cast::usize_to_u32(u),
+                    absorbed: cast::usize_to_u32(v),
+                    goodness: g,
+                    sizes: (cast::usize_to_u32(sizes.0), cast::usize_to_u32(sizes.1)),
+                    criterion: criterion(good, &members, &internal),
                 });
             }
         }
-
-        /// Discards every active cluster with at most `max_size` members.
-        fn prune_small(&mut self, max_size: usize) {
-            let victims: Vec<u32> = (0..cast::usize_to_u32(self.members.len()))
-                .filter(|&s| {
-                    let m = &self.members[cast::u32_to_usize(s)];
-                    !m.is_empty() && m.len() <= max_size
-                })
-                .collect();
-            // Never prune everything: keep at least one cluster.
-            if victims.len() == self.active {
-                return;
-            }
-            for s in victims {
-                let mem = std::mem::take(&mut self.members[cast::u32_to_usize(s)]);
-                self.outliers.extend(mem);
-                self.internal[cast::u32_to_usize(s)] = 0;
-                let row = std::mem::take(&mut self.rows[cast::u32_to_usize(s)]);
-                for (x, _) in row {
-                    self.rows[cast::u32_to_usize(x)].remove(&s);
-                    self.local[cast::u32_to_usize(x)].remove(s);
-                    self.refresh_global(x);
-                }
-                self.local[cast::u32_to_usize(s)].clear();
-                self.global.remove(s);
-                self.active -= 1;
+        let criterion = criterion(good, &members, &internal);
+        let mut clusters: Vec<Vec<u32>> = members.into_iter().filter(|m| !m.is_empty()).collect();
+        for c in &mut clusters {
+            c.sort_unstable();
+        }
+        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+        let mut assignment = vec![None; n];
+        for (c, mem) in clusters.iter().enumerate() {
+            for &p in mem {
+                assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
             }
         }
-
-        /// Current value of the criterion function E_l.
-        fn criterion(&self) -> f64 {
-            self.members
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| !m.is_empty())
-                .map(|(i, m)| self.goodness.criterion_term(self.internal[i], m.len()))
-                .sum()
-        }
-
-        fn finish(self, reached_k: bool) -> Agglomeration {
-            let criterion = self.criterion();
-            let n: usize = self.members.iter().map(Vec::len).sum::<usize>() + self.outliers.len();
-            let mut clusters: Vec<Vec<u32>> = self
-                .members
-                .into_iter()
-                .filter(|m| !m.is_empty())
-                .map(|mut m| {
-                    m.sort_unstable();
-                    m
-                })
-                .collect();
-            clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-            let mut assignment: Vec<Option<u32>> = vec![None; n];
-            for (c, mem) in clusters.iter().enumerate() {
-                for &p in mem {
-                    assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
-                }
-            }
-            let mut outliers = self.outliers;
-            outliers.sort_unstable();
-            Agglomeration {
-                assignment,
-                clusters,
-                history: self.history,
-                criterion,
-                merges: self.merges,
-                reached_k,
-                outliers,
-            }
+        outliers.sort_unstable();
+        Agglomeration {
+            assignment,
+            clusters,
+            history,
+            criterion,
+            merges,
+            reached_k: active == config.k,
+            outliers,
         }
     }
 }
@@ -1770,11 +1626,17 @@ mod tests {
         let one = LinkTable::from_upper_rows(vec![Vec::new()]);
         check_against_oracle(1, &one, &good, "one point");
         // All-identical rows: every pair has the same links, so every
-        // merge is decided by the id tie-break alone.
+        // merge is decided by the id tie-break alone. At θ = 0.2,
+        // f(θ) = 2/3 > 1/2, so each merge lowers its partners' best and
+        // every repair rescans its slot's heap.
         let same: TransactionSet = (0..12).map(|_| Transaction::new([1, 2, 3])).collect();
-        let g = NeighborGraph::compute(&same, &Jaccard, 0.5, 1).unwrap();
-        let links = LinkTable::compute(&g);
-        assert!(check_against_oracle(12, &links, &good, "identical rows") > 0);
+        for theta in [0.5, 0.2] {
+            let g = NeighborGraph::compute(&same, &Jaccard, theta, 1).unwrap();
+            let links = LinkTable::compute(&g);
+            let good = Goodness::new(theta, &MarketBasket).unwrap();
+            let ctx = format!("identical rows theta={theta}");
+            assert!(check_against_oracle(12, &links, &good, &ctx) > 0);
+        }
     }
 
     #[test]
