@@ -1,29 +1,33 @@
 //! The ROCK agglomerative merge engine (paper §4, procedure `cluster`).
 //!
 //! Every point starts as a singleton cluster. Each cluster `i` owns a
-//! *link row* (partner → cross-link count and merge goodness) and a
-//! *local heap* `q[i]` of its partners ordered by goodness; a *global
-//! heap* `Q` orders clusters by the goodness of their best local merge.
-//! Each iteration merges the globally best pair `(u, v)`, folds `v`'s row
-//! into `u`'s, and repairs every partner of the merged cluster —
-//! `O(links touched · log n)` per merge, the bookkeeping the paper
-//! describes.
+//! *link row* (partner → cross-link count) and a *local heap* `q[i]` of
+//! its partners ordered by goodness; a *global heap* `Q` orders clusters
+//! by the goodness of their best local merge. Each iteration merges the
+//! globally best pair `(u, v)`, folds `v`'s row into `u`'s, and repairs
+//! every partner of the merged cluster — `O(links touched · log n)` per
+//! merge, the bookkeeping the paper describes.
 //!
-//! The constant factor is kept small in three ways:
+//! Goodness is never stored: a row keeps only counts, and every goodness
+//! is computed where a heap key is made, as `merge_goodness(count, own
+//! size, partner size)`. The constant factor is kept small in three ways:
 //! * Link rows are hash maps under a one-multiply slot-id hasher, so a
 //!   row update is one integer hash, never SipHash.
 //! * Local heaps are *lazy*: a partner repair pushes the new key and
-//!   leaves the old one in place. A key whose partner is gone, or whose
-//!   goodness bits differ from the row's, is stale and dropped when it
-//!   surfaces. Each heap caches its best live key, so a repair rescans
-//!   only when that best pointed at `u` or `v`, and a heap is rebuilt
-//!   from its row once stale keys outnumber live ones. The kept
-//!   cluster's heap is heapified from its merged row in `O(row)`.
+//!   leaves the old one in place. A key records its partner's size and
+//!   is live while the partner still has that size (a live cluster only
+//!   grows; a retired or pruned one has size 0); a slot's own heap is
+//!   rebuilt whenever its own size changes. Stale keys are dropped when
+//!   they surface. Each heap caches its best live key, so a repair
+//!   rescans only when that best pointed at `u` or `v` and the merged
+//!   key lost to it, and a heap is rebuilt from its row once stale keys
+//!   outnumber live ones. The kept cluster's heap is heapified from its
+//!   merged row in `O(row)`.
 //! * The global heap is an [`IndexedHeap`] over the dense slot ids.
 //!
 //! The merge order is a pure function of the strict [`GoodnessKey`]
-//! order, so the result is identical to an eager engine's; the test-only
-//! `oracle` module keeps the eager engine and checks exactly that.
+//! order; the test-only `oracle` module, the paper's linear scan over a
+//! dense count matrix, checks the engine against it.
 //!
 //! The loop stops when the requested number of clusters is reached or when
 //! no cross-cluster links remain (the paper's termination condition; the
@@ -44,7 +48,7 @@ use crate::goodness::Goodness;
 use crate::guard::{Guard, Trip};
 use crate::heap::IndexedHeap;
 use crate::links::LinkTable;
-use crate::telemetry::trace::{LatencyHistogram, Payload, Tracer};
+use crate::telemetry::trace::{LatencyHistogram, Payload, SpanStart, Tracer};
 use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
 
 /// Merges per trace span / histogram sample in the instrumented merge
@@ -299,28 +303,21 @@ pub fn agglomerate_guarded(
     let tracer = observer.tracer();
     let mut batch_span = tracer.begin();
     let mut batch_hist = LatencyHistogram::new();
-    let mut batch_merges = 0u64;
-    let mut batch_goodness = 0.0f64;
-    fn end_batch(
-        tracer: &Tracer,
-        hist: &mut LatencyHistogram,
-        span: crate::telemetry::trace::SpanStart,
-        merges: u64,
-        goodness: f64,
-        active: usize,
-    ) {
-        hist.record(Tracer::elapsed_ns(&span));
+    let (mut batch_merges, mut batch_goodness) = (0u64, 0.0f64);
+    let mut end_batch = |span: SpanStart, merges: u64, goodness: f64, active: usize| {
+        batch_hist.record(Tracer::elapsed_ns(&span));
+        let payload = Payload::new()
+            .count("merges", merges)
+            .num("goodness", goodness)
+            .count("active", cast::usize_to_u64(active));
         tracer.end(
             span,
             "agglomerate.batch",
             Some(Phase::Agglomerate),
             0,
-            Payload::new()
-                .count("merges", merges)
-                .num("goodness", goodness)
-                .count("active", cast::usize_to_u64(active)),
+            payload,
         );
-    }
+    };
 
     let mut trip = None;
     let mut active = n;
@@ -354,14 +351,7 @@ pub fn agglomerate_guarded(
             batch_goodness = goodness_value;
             if batch_merges == MERGE_BATCH {
                 if let Some(span) = batch_span.take() {
-                    end_batch(
-                        tracer,
-                        &mut batch_hist,
-                        span,
-                        batch_merges,
-                        batch_goodness,
-                        active,
-                    );
+                    end_batch(span, batch_merges, batch_goodness, active);
                 }
                 batch_merges = 0;
                 batch_span = tracer.begin();
@@ -370,14 +360,7 @@ pub fn agglomerate_guarded(
     }
     if batch_merges > 0 {
         if let Some(span) = batch_span.take() {
-            end_batch(
-                tracer,
-                &mut batch_hist,
-                span,
-                batch_merges,
-                batch_goodness,
-                active,
-            );
+            end_batch(span, batch_merges, batch_goodness, active);
         }
     }
     if batch_hist.count() > 0 {
@@ -423,36 +406,63 @@ impl std::hash::Hasher for SlotHasher {
     }
 }
 
-/// One entry of a link row, seen from the row's own slot.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    /// Cross-link count between the two clusters (symmetric).
-    count: u64,
-    /// Goodness of merging with the partner, evaluated from this row's
-    /// side. The two sides may differ in the last bits (see
-    /// [`Engine::merge`]), so each row keeps its own.
-    goodness: f64,
+/// Cross-link row of one slot: partner slot → cross-link count.
+type Row = HashMap<u32, u64, BuildHasherDefault<SlotHasher>>;
+
+/// A local-heap key: the goodness of merging with `partner`, seen from
+/// the heap's own slot, and the partner's size when the key was made.
+/// Ordered as a [`GoodnessKey`] (goodness, then the smaller partner id);
+/// the size only orders two keys for the same partner and goodness.
+/// 16 bytes, as a `GoodnessKey`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LocalKey {
+    goodness: GoodnessOrd,
+    partner: std::cmp::Reverse<u32>,
+    size: u32,
 }
 
-/// Cross-link row of one slot: partner slot → [`Link`].
-type Row = HashMap<u32, Link, BuildHasherDefault<SlotHasher>>;
+const _: () = assert!(std::mem::size_of::<LocalKey>() == 16);
+
+impl LocalKey {
+    /// The key of `partner` (of size `partner_size`, at `count` cross
+    /// links) in the heap of a slot of size `own`: own size first.
+    fn new(goodness: &Goodness, count: u64, own: usize, partner: u32, partner_size: usize) -> Self {
+        LocalKey {
+            goodness: GoodnessOrd::new(goodness.merge_goodness(count, own, partner_size)),
+            partner: std::cmp::Reverse(partner),
+            size: cast::usize_to_u32(partner_size),
+        }
+    }
+
+    fn goodness(self) -> f64 {
+        self.goodness.get()
+    }
+
+    fn partner(self) -> u32 {
+        self.partner.0
+    }
+
+    /// Live while the partner still has the size the key was made at.
+    fn is_live(self, members: &[Vec<u32>]) -> bool {
+        members[cast::u32_to_usize(self.partner())].len() == cast::u32_to_usize(self.size)
+    }
+}
 
 /// A local heap `q[i]`, maintained lazily.
 ///
-/// Keys are pushed whenever a partner's goodness changes and are never
-/// removed in place. A key is *live* while the row still holds its
-/// partner with the same goodness bits; anything else is stale and is
-/// dropped when it reaches the top. `best` caches the greatest live key,
-/// which is exactly what the eager heap's `peek` returned.
+/// Keys are pushed whenever a partner changes size and are never
+/// removed in place; a stale key is dropped when it reaches the top.
+/// `best` caches the greatest live key, which is exactly what an eager
+/// heap's `peek` would return.
 #[derive(Debug, Default)]
 struct LocalHeap {
-    keys: BinaryHeap<GoodnessKey>,
-    best: Option<GoodnessKey>,
+    keys: BinaryHeap<LocalKey>,
+    best: Option<LocalKey>,
 }
 
 impl LocalHeap {
     /// Heapifies `keys` (all live) in `O(len)`.
-    fn from_keys(keys: Vec<GoodnessKey>) -> Self {
+    fn from_keys(keys: Vec<LocalKey>) -> Self {
         let keys = BinaryHeap::from(keys);
         let best = keys.peek().copied();
         LocalHeap { keys, best }
@@ -460,16 +470,11 @@ impl LocalHeap {
 
     /// Drops stale keys off the top until the greatest key is live, and
     /// caches it as `best`. Returns the number of keys dropped.
-    fn rescan(&mut self, row: &Row) -> u64 {
+    fn rescan(&mut self, members: &[Vec<u32>]) -> u64 {
         let mut dropped = 0;
         // Bounded: each pass drops one key, and at most every key is stale.
         for _ in 0..self.keys.len() {
-            let top = self.keys.peek().copied();
-            let live = top.is_none_or(|k| {
-                row.get(&k.tie())
-                    .is_some_and(|l| l.goodness.to_bits() == k.goodness().to_bits())
-            });
-            if live {
+            if self.keys.peek().is_none_or(|k| k.is_live(members)) {
                 break;
             }
             self.keys.pop();
@@ -478,29 +483,13 @@ impl LocalHeap {
         self.best = self.keys.peek().copied();
         dropped
     }
-
-    /// Rebuilds the heap from `row` once stale keys outnumber live ones,
-    /// which bounds the heap at about twice the row. Returns the keys
-    /// `(pushed, popped)`: every old key is dropped, every live key
-    /// re-pushed.
-    fn compact(&mut self, row: &Row) -> (u64, u64) {
-        if self.keys.len() <= 2 * row.len() {
-            return (0, 0);
-        }
-        let popped = cast::usize_to_u64(self.keys.len());
-        let mut keys = std::mem::take(&mut self.keys).into_vec();
-        keys.clear();
-        // Hash order is fine: the heap orders keys by the strict GoodnessKey total order.
-        keys.extend(row.iter().map(|(&x, l)| GoodnessKey::new(l.goodness, x)));
-        *self = LocalHeap::from_keys(keys);
-        (cast::usize_to_u64(row.len()), popped)
-    }
 }
 
 /// Internal merge-engine state.
 struct Engine<'a> {
     goodness: &'a Goodness,
-    /// Member lists per slot; empty = inactive slot.
+    /// Member lists per slot; empty = inactive slot. A slot's size is
+    /// what its partners' local keys are validated against.
     members: Vec<Vec<u32>>,
     /// Cross-link rows per slot. Symmetric in partners and counts.
     rows: Vec<Row>,
@@ -526,7 +515,7 @@ impl<'a> Engine<'a> {
     fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
         let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
         // Size every row and heap exactly, then fill both from the
-        // upper-triangle link table: singleton goodness is symmetric.
+        // upper-triangle link table.
         let mut degree = vec![0usize; n];
         for (i, j, _) in links.iter() {
             degree[cast::u32_to_usize(i)] += 1;
@@ -536,18 +525,14 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&d| Row::with_capacity_and_hasher(d, BuildHasherDefault::default()))
             .collect();
-        let mut keys: Vec<Vec<GoodnessKey>> =
-            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        let mut keys: Vec<Vec<LocalKey>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
         for (i, j, c) in links.iter() {
             let count = u64::from(c);
-            let link = Link {
-                count,
-                goodness: goodness.merge_goodness(count, 1, 1),
-            };
-            rows[cast::u32_to_usize(i)].insert(j, link);
-            rows[cast::u32_to_usize(j)].insert(i, link);
-            keys[cast::u32_to_usize(i)].push(GoodnessKey::new(link.goodness, j));
-            keys[cast::u32_to_usize(j)].push(GoodnessKey::new(link.goodness, i));
+            let (iu, ju) = (cast::u32_to_usize(i), cast::u32_to_usize(j));
+            rows[iu].insert(j, count);
+            rows[ju].insert(i, count);
+            keys[iu].push(LocalKey::new(goodness, count, 1, j, 1));
+            keys[ju].push(LocalKey::new(goodness, count, 1, i, 1));
         }
         let mut global = IndexedHeap::with_capacity(n);
         let mut local_pushes = 0;
@@ -598,7 +583,7 @@ impl<'a> Engine<'a> {
     /// Brings slot `i`'s global-heap entry in line with its local best,
     /// given the best it had before the change. The global key depends
     /// only on the best's goodness, so an equal value needs no update.
-    fn publish(&mut self, i: u32, old_best: Option<GoodnessKey>) {
+    fn publish(&mut self, i: u32, old_best: Option<LocalKey>) {
         match self.local[cast::u32_to_usize(i)].best {
             Some(best) => {
                 if old_best.map(|b| b.goodness().to_bits()) != Some(best.goodness().to_bits()) {
@@ -624,7 +609,7 @@ impl<'a> Engine<'a> {
             }
             return self.merge_best();
         };
-        self.merge(u, best.tie(), best.goodness());
+        self.merge(u, best.partner(), best.goodness());
         Some(best.goodness())
     }
 
@@ -634,24 +619,19 @@ impl<'a> Engine<'a> {
         let (ui, vi) = (cast::u32_to_usize(u), cast::u32_to_usize(v));
         let (nu, nv) = (self.size(u), self.size(v));
         let mut row = std::mem::take(&mut self.rows[ui]);
-        let cross = row.remove(&v).map_or(0, |l| l.count);
+        let cross = row.remove(&v).unwrap_or(0);
 
-        // Fold members and internal links.
+        // Fold members and internal links: from here on u has size
+        // nu + nv and v size 0, so every key made for either is stale.
         let v_members = std::mem::take(&mut self.members[vi]);
         self.members[ui].extend(v_members);
         self.internal[ui] += self.internal[vi] + 2 * cross;
         self.internal[vi] = 0;
 
-        // Fold v's row into u's (integer sums: order-insensitive); the
-        // goodness fields are all rewritten below.
-        for (x, l) in std::mem::take(&mut self.rows[vi]) {
+        // Fold v's row into u's (integer sums: order-insensitive).
+        for (x, count) in std::mem::take(&mut self.rows[vi]) {
             if x != u {
-                row.entry(x)
-                    .or_insert(Link {
-                        count: 0,
-                        goodness: 0.0,
-                    })
-                    .count += l.count;
+                *row.entry(x).or_insert(0) += count;
             }
         }
 
@@ -660,24 +640,21 @@ impl<'a> Engine<'a> {
         self.local_pops += cast::usize_to_u64(retired.keys.len());
         self.global.remove(v);
 
-        // Re-key every partner x of the merged cluster from both sides.
-        // The two evaluations keep their argument order: x's side is
-        // merge_goodness(c, nx, nw), u's side merge_goodness(c, nw, nx),
-        // and their last bits can differ. Each partner's repair touches
-        // only its own row and heap, so the row's order does not matter.
+        // Re-key every partner x of the merged cluster from both sides,
+        // each with its own size first: u's side is merge_goodness(c, nw,
+        // nx), x's side merge_goodness(c, nx, nw), and their last bits can
+        // differ. u's own heap is rebuilt, since its size changed. Each
+        // partner's repair touches only its own row and heap, so the
+        // row's order does not matter.
         let nw = nu + nv;
         let mut keys = std::mem::take(&mut self.local[ui].keys).into_vec();
         self.local_pops += cast::usize_to_u64(keys.len());
         keys.clear();
-        for (&x, link) in &mut row {
+        for (&x, &count) in &row {
             let nx = self.size(x);
-            link.goodness = self.goodness.merge_goodness(link.count, nw, nx);
-            keys.push(GoodnessKey::new(link.goodness, x));
-            let x_side = Link {
-                count: link.count,
-                goodness: self.goodness.merge_goodness(link.count, nx, nw),
-            };
-            self.repair(x, u, v, x_side);
+            keys.push(LocalKey::new(self.goodness, count, nw, x, nx));
+            let x_side = LocalKey::new(self.goodness, count, nx, u, nw);
+            self.repair(x, v, count, x_side);
         }
         self.local_pushes += cast::usize_to_u64(keys.len());
         let old_best = self.local[ui].best;
@@ -699,35 +676,55 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Partner `x` of a merge of `v` into `u`: its row loses `v` and holds
-    /// the merged cluster under `u` with `link` (goodness from x's side).
-    /// One push, and a rescan only when the cached best was `u` or `v`.
-    fn repair(&mut self, x: u32, u: u32, v: u32, link: Link) {
+    /// Partner `x` of a merge of `v` into `u = key.partner()`: its row
+    /// loses `v` and holds the merged cluster under `u` with `count`, and
+    /// its heap gets `key`. A rescan only when the cached best was `u` or
+    /// `v` and `key` lost to it; otherwise the new best is the greater of
+    /// the two.
+    fn repair(&mut self, x: u32, v: u32, count: u64, key: LocalKey) {
         let xi = cast::u32_to_usize(x);
+        let u = key.partner();
         let row = &mut self.rows[xi];
-        let heap = &mut self.local[xi];
         row.remove(&v);
-        let key = GoodnessKey::new(link.goodness, u);
-        let unchanged = row
-            .insert(u, link)
-            .is_some_and(|old| old.goodness.to_bits() == link.goodness.to_bits());
-        if !unchanged {
-            heap.keys.push(key);
-            self.local_pushes += 1;
-        }
+        row.insert(u, count);
+        let heap = &mut self.local[xi];
+        heap.keys.push(key);
+        self.local_pushes += 1;
         let old_best = heap.best;
-        if old_best.is_some_and(|b| b.tie() == v || (b.tie() == u && !unchanged)) {
-            self.local_pops += heap.rescan(row);
-        } else {
-            heap.best = Some(old_best.map_or(key, |b| b.max(key)));
+        match old_best {
+            Some(b) if (b.partner() == u || b.partner() == v) && key < b => {
+                self.local_pops += heap.rescan(&self.members);
+            }
+            _ => heap.best = Some(old_best.map_or(key, |b| b.max(key))),
         }
-        let (pushed, popped) = heap.compact(row);
-        self.local_pushes += pushed;
-        self.local_pops += popped;
+        self.settle(x, old_best);
+    }
+
+    /// Ends a change to slot `x`'s heap: rebuilds the heap from the row
+    /// once stale keys outnumber live ones, which bounds it at about
+    /// twice the row (every old key popped, every live key re-pushed),
+    /// then publishes the best.
+    fn settle(&mut self, x: u32, old_best: Option<LocalKey>) {
+        let xi = cast::u32_to_usize(x);
+        let (row, heap) = (&self.rows[xi], &mut self.local[xi]);
+        if heap.keys.len() > 2 * row.len() {
+            self.local_pops += cast::usize_to_u64(heap.keys.len());
+            self.local_pushes += cast::usize_to_u64(row.len());
+            let own = self.members[xi].len();
+            let mut keys = std::mem::take(&mut heap.keys).into_vec();
+            keys.clear();
+            // Hash order is fine: the heap orders keys by the strict LocalKey total order.
+            keys.extend(row.iter().map(|(&y, &count)| {
+                let ny = self.members[cast::u32_to_usize(y)].len();
+                LocalKey::new(self.goodness, count, own, y, ny)
+            }));
+            *heap = LocalHeap::from_keys(keys);
+        }
         self.publish(x, old_best);
     }
 
-    /// Partner `x` of a pruned slot `s` drops it from its row and heap.
+    /// Partner `x` of a pruned slot `s` (now of size 0) drops it from its
+    /// row; its keys for `s` are stale.
     fn drop_partner(&mut self, x: u32, s: u32) {
         let xi = cast::u32_to_usize(x);
         let row = &mut self.rows[xi];
@@ -736,13 +733,10 @@ impl<'a> Engine<'a> {
         }
         let heap = &mut self.local[xi];
         let old_best = heap.best;
-        if old_best.is_some_and(|b| b.tie() == s) {
-            self.local_pops += heap.rescan(row);
+        if old_best.is_some_and(|b| b.partner() == s) {
+            self.local_pops += heap.rescan(&self.members);
         }
-        let (pushed, popped) = heap.compact(row);
-        self.local_pushes += pushed;
-        self.local_pops += popped;
-        self.publish(x, old_best);
+        self.settle(x, old_best);
     }
 
     /// Discards every active cluster with at most `max_size` members.
@@ -777,21 +771,13 @@ impl<'a> Engine<'a> {
     /// the global heap, every local heap and every link row (entries at
     /// capacity, plus one control byte per row entry).
     fn heap_bytes(&self) -> usize {
-        let key = std::mem::size_of::<GoodnessKey>();
-        let row_entry = std::mem::size_of::<(u32, Link)>() + 1;
+        let keys: usize = self.local.iter().map(|h| h.keys.capacity()).sum();
+        let entries: usize = self.rows.iter().map(Row::capacity).sum();
         self.global.estimated_bytes()
             + self.local.capacity() * std::mem::size_of::<LocalHeap>()
             + self.rows.capacity() * std::mem::size_of::<Row>()
-            + self
-                .local
-                .iter()
-                .map(|h| h.keys.capacity() * key)
-                .sum::<usize>()
-            + self
-                .rows
-                .iter()
-                .map(|r| r.capacity() * row_entry)
-                .sum::<usize>()
+            + keys * std::mem::size_of::<LocalKey>()
+            + entries * (std::mem::size_of::<(u32, u64)>() + 1)
     }
 
     /// Flushes the run's tallies into `observer`: merges, pruned points,
@@ -816,19 +802,15 @@ impl<'a> Engine<'a> {
 
     /// Current value of the criterion function E_l.
     fn criterion(&self) -> f64 {
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.is_empty())
-            .map(|(i, m)| self.goodness.criterion_term(self.internal[i], m.len()))
-            .sum()
+        criterion(self.goodness, &self.members, &self.internal)
     }
 
     /// Checks the lazy-heap invariants against a full recomputation:
-    /// rows are symmetric in partners and counts, every partner has a
-    /// live key in its slot's heap, each cached best is the greatest
-    /// live key, and the global heap holds exactly the slots with a best,
-    /// keyed by its goodness. Test helper; `O(links)` per call.
+    /// rows are symmetric in partners and counts, a slot's live keys are
+    /// exactly the keys its row makes now, each cached best is the
+    /// greatest live key, and the global heap holds exactly the slots
+    /// with a best, keyed by its goodness. Test helper; `O(links)` per
+    /// call.
     #[cfg(test)]
     fn assert_invariants(&self) {
         self.global.assert_invariants();
@@ -839,27 +821,23 @@ impl<'a> Engine<'a> {
                 row.is_empty() || !self.members[xi].is_empty(),
                 "retired slot {x} has links"
             );
-            let mut live: Vec<GoodnessKey> = heap
+            let own = self.members[xi].len();
+            let mut live: Vec<LocalKey> = heap
                 .keys
                 .iter()
                 .copied()
-                .filter(|k| {
-                    row.get(&k.tie())
-                        .is_some_and(|l| l.goodness.to_bits() == k.goodness().to_bits())
-                })
+                .filter(|k| k.is_live(&self.members))
                 .collect();
             live.sort_unstable();
             live.dedup();
-            assert_eq!(
-                live.len(),
-                row.len(),
-                "slot {x}: partners without a live key"
-            );
-            assert_eq!(
-                heap.best,
-                live.last().copied(),
-                "slot {x}: stale cached best"
-            );
+            // Hash order is fine: both sides are sorted before comparing.
+            let mut fresh: Vec<LocalKey> = row
+                .iter()
+                .map(|(&y, &c)| LocalKey::new(self.goodness, c, own, y, self.size(y)))
+                .collect();
+            fresh.sort_unstable();
+            assert_eq!(live, fresh, "slot {x}: live keys disagree with the row");
+            assert_eq!(heap.best, live.last().copied(), "slot {x}: stale best");
             assert!(
                 heap.keys.len() <= 2 * row.len().max(1),
                 "slot {x}: heap never compacted"
@@ -870,47 +848,73 @@ impl<'a> Engine<'a> {
                 heap.best.map(|b| GoodnessKey::new(b.goodness(), x)),
                 "slot {x}: global entry out of sync"
             );
-            for (&y, l) in row {
+            for (&y, count) in row {
                 let back = self.rows[cast::u32_to_usize(y)].get(&x);
-                assert_eq!(
-                    back.map(|b| b.count),
-                    Some(l.count),
-                    "rows {x}/{y} asymmetric"
-                );
+                assert_eq!(back, Some(count), "rows {x}/{y} asymmetric");
             }
         }
     }
 
     fn finish(self, reached_k: bool) -> Agglomeration {
         let criterion = self.criterion();
-        let n: usize = self.members.iter().map(Vec::len).sum::<usize>() + self.outliers.len();
-        let mut clusters: Vec<Vec<u32>> = self
-            .members
-            .into_iter()
-            .filter(|m| !m.is_empty())
-            .map(|mut m| {
-                m.sort_unstable();
-                m
-            })
-            .collect();
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-        let mut assignment: Vec<Option<u32>> = vec![None; n];
-        for (c, mem) in clusters.iter().enumerate() {
-            for &p in mem {
-                assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
-            }
-        }
-        let mut outliers = self.outliers;
-        outliers.sort_unstable();
-        Agglomeration {
-            assignment,
-            clusters,
-            history: self.history,
+        assemble(
+            self.members,
+            self.outliers,
+            self.history,
             criterion,
-            merges: self.merges,
+            self.merges,
             reached_k,
-            outliers,
+        )
+    }
+}
+
+/// Criterion `E_l` over the live clusters (non-empty member lists),
+/// summed in slot order.
+fn criterion(goodness: &Goodness, members: &[Vec<u32>], internal: &[u64]) -> f64 {
+    members
+        .iter()
+        .zip(internal)
+        .filter(|(m, _)| !m.is_empty())
+        .map(|(m, &links)| goodness.criterion_term(links, m.len()))
+        .sum()
+}
+
+/// The result of a run that ended with `members` per slot (empty =
+/// inactive) and `outliers` pruned: clusters sorted by decreasing size
+/// (ties by smallest member), the dense assignment and sorted outliers.
+fn assemble(
+    members: Vec<Vec<u32>>,
+    mut outliers: Vec<u32>,
+    history: Vec<MergeStep>,
+    criterion: f64,
+    merges: usize,
+    reached_k: bool,
+) -> Agglomeration {
+    let n: usize = members.iter().map(Vec::len).sum::<usize>() + outliers.len();
+    let mut clusters: Vec<Vec<u32>> = members
+        .into_iter()
+        .filter(|m| !m.is_empty())
+        .map(|mut m| {
+            m.sort_unstable();
+            m
+        })
+        .collect();
+    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    let mut assignment: Vec<Option<u32>> = vec![None; n];
+    for (c, mem) in clusters.iter().enumerate() {
+        for &p in mem {
+            assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
         }
+    }
+    outliers.sort_unstable();
+    Agglomeration {
+        assignment,
+        clusters,
+        history,
+        criterion,
+        merges,
+        reached_k,
+        outliers,
     }
 }
 
@@ -923,8 +927,7 @@ impl<'a> Engine<'a> {
 /// is a plain merge count.
 #[cfg(test)]
 mod oracle {
-    use super::{AgglomerateConfig, Agglomeration, GoodnessKey, MergeStep};
-    use crate::cast;
+    use super::{assemble, criterion, AgglomerateConfig, Agglomeration, GoodnessKey, MergeStep};
     use crate::goodness::Goodness;
     use crate::links::LinkTable;
 
@@ -935,37 +938,24 @@ mod oracle {
         good: &Goodness,
         members: &[Vec<u32>],
         cross: &[Vec<u64>],
-    ) -> Option<(f64, usize, usize)> {
+    ) -> Option<(f64, u32, u32)> {
         let mut best: Option<(GoodnessKey, u32)> = None;
         for (a, row) in cross.iter().enumerate() {
             let local = (0..row.len())
                 .filter(|&b| row[b] > 0)
                 .map(|b| {
                     let g = good.merge_goodness(row[b], members[a].len(), members[b].len());
-                    GoodnessKey::new(g, cast::usize_to_u32(b))
+                    GoodnessKey::new(g, b as u32)
                 })
                 .max();
             if let Some(local) = local {
-                let key = GoodnessKey::new(local.goodness(), cast::usize_to_u32(a));
+                let key = GoodnessKey::new(local.goodness(), a as u32);
                 if best.is_none_or(|(b, _)| key > b) {
                     best = Some((key, local.tie()));
                 }
             }
         }
-        best.map(|(key, v)| {
-            let (u, v) = (cast::u32_to_usize(key.tie()), cast::u32_to_usize(v));
-            (key.goodness(), u, v)
-        })
-    }
-
-    /// Criterion `E_l` over the live clusters, summed in slot order.
-    fn criterion(good: &Goodness, members: &[Vec<u32>], internal: &[u64]) -> f64 {
-        members
-            .iter()
-            .zip(internal)
-            .filter(|(m, _)| !m.is_empty())
-            .map(|(m, &l)| good.criterion_term(l, m.len()))
-            .sum()
+        best.map(|(key, v)| (key.goodness(), key.tie(), v))
     }
 
     /// Reference result of `agglomerate_guarded` under a step budget of
@@ -980,25 +970,24 @@ mod oracle {
     ) -> Agglomeration {
         let mut cross = vec![vec![0u64; n]; n];
         for (i, j, c) in links.iter() {
-            let (i, j) = (cast::u32_to_usize(i), cast::u32_to_usize(j));
-            cross[i][j] = u64::from(c);
-            cross[j][i] = u64::from(c);
+            cross[i as usize][j as usize] = u64::from(c);
+            cross[j as usize][i as usize] = u64::from(c);
         }
-        let mut members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
+        let mut members: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
         let mut internal = vec![0u64; n];
-        let mut outliers: Vec<u32> = Vec::new();
-        let mut history = Vec::new();
+        let (mut outliers, mut history) = (Vec::new(), Vec::new());
         let checkpoint = config.prune.map(|p| {
-            let c = cast::f64_to_usize((p.checkpoint_fraction * cast::usize_to_f64(n)).ceil());
-            (c.clamp(config.k, n), p.max_prune_size)
+            let at = (p.checkpoint_fraction * n as f64).ceil() as usize;
+            (at.clamp(config.k, n), p.max_prune_size)
         });
         let mut pruned_once = checkpoint.is_none();
         let (mut active, mut merges) = (n, 0);
         while active > config.k {
             if let Some((at, max_size)) = checkpoint {
                 if !pruned_once && active <= at {
+                    pruned_once = true;
                     let victims: Vec<usize> = (0..n)
-                        .filter(|&s| !members[s].is_empty() && members[s].len() <= max_size)
+                        .filter(|&s| (1..=max_size).contains(&members[s].len()))
                         .collect();
                     if victims.len() < active {
                         for s in victims {
@@ -1011,27 +1000,25 @@ mod oracle {
                             active -= 1;
                         }
                     }
-                    pruned_once = true;
                     if active <= config.k {
                         break;
                     }
                 }
             }
             let found = best_merge(good, &members, &cross);
-            if let Some(floor) = config.min_goodness {
-                if found.is_none_or(|(g, _, _)| g < floor) {
-                    break;
-                }
+            if (config.min_goodness).is_some_and(|f| found.is_none_or(|(g, _, _)| g < f)) {
+                break;
             }
             if steps.is_some_and(|s| merges >= s) {
                 break;
             }
-            let Some((g, u, v)) = found else {
+            let Some((goodness, kept, absorbed)) = found else {
                 break;
             };
-            let sizes = (members[u].len(), members[v].len());
-            let absorbed = std::mem::take(&mut members[v]);
-            members[u].extend(absorbed);
+            let (u, v) = (kept as usize, absorbed as usize);
+            let sizes = (members[u].len() as u32, members[v].len() as u32);
+            let folded = std::mem::take(&mut members[v]);
+            members[u].extend(folded);
             internal[u] += internal[v] + 2 * cross[u][v];
             internal[v] = 0;
             for x in 0..n {
@@ -1045,37 +1032,25 @@ mod oracle {
             active -= 1;
             merges += 1;
             if config.record_history {
+                let criterion = criterion(good, &members, &internal);
                 history.push(MergeStep {
-                    kept: cast::usize_to_u32(u),
-                    absorbed: cast::usize_to_u32(v),
-                    goodness: g,
-                    sizes: (cast::usize_to_u32(sizes.0), cast::usize_to_u32(sizes.1)),
-                    criterion: criterion(good, &members, &internal),
+                    kept,
+                    absorbed,
+                    goodness,
+                    sizes,
+                    criterion,
                 });
             }
         }
         let criterion = criterion(good, &members, &internal);
-        let mut clusters: Vec<Vec<u32>> = members.into_iter().filter(|m| !m.is_empty()).collect();
-        for c in &mut clusters {
-            c.sort_unstable();
-        }
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-        let mut assignment = vec![None; n];
-        for (c, mem) in clusters.iter().enumerate() {
-            for &p in mem {
-                assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
-            }
-        }
-        outliers.sort_unstable();
-        Agglomeration {
-            assignment,
-            clusters,
+        assemble(
+            members,
+            outliers,
             history,
             criterion,
             merges,
-            reached_k: active == config.k,
-            outliers,
-        }
+            active == config.k,
+        )
     }
 }
 
@@ -1705,8 +1680,8 @@ mod tests {
         let global_only = engine.global.estimated_bytes();
         let entries: usize = engine.rows.iter().map(Row::len).sum();
         assert!(entries > 0);
-        let keys = entries * std::mem::size_of::<GoodnessKey>();
-        let rows = entries * std::mem::size_of::<(u32, Link)>();
+        let keys = entries * std::mem::size_of::<LocalKey>();
+        let rows = entries * std::mem::size_of::<(u32, u64)>();
         assert!(engine.heap_bytes() >= global_only + keys + rows);
     }
 }
