@@ -7,20 +7,19 @@
 //! subsystem:
 //!
 //! ```text
-//! Registry ──► name ──► ModelSlot ──► EpochSwap ──► Arc<ModelEntry>
-//!   (BTreeMap, admin-locked)   (lock-free-ish read)   (snapshot +
-//!                                                      version +
-//!                                                      fingerprint)
+//! Registry ──► name ──► ModelSlot ──► Mutex<Option<Arc<ModelEntry>>>
+//!   (BTreeMap, admin-locked)   (swap cell)   (snapshot + version +
+//!                                             fingerprint)
 //! ```
 //!
-//! * **Atomic swap.** Each [`ModelSlot`] holds its current entry in an
-//!   [`EpochSwap`] — a hand-rolled, `unsafe`-free stand-in for an
-//!   `ArcSwap`: two slots, an atomic active index, and an epoch counter.
-//!   Readers clone the `Arc` out of the active slot (one uncontended
-//!   mutex lock, never blocked by writers); writers fill the *inactive*
-//!   slot and flip the index with a release store. A request that
-//!   resolved the old entry keeps its `Arc` and finishes on the old
-//!   model; every request resolved after the flip sees the new one.
+//! * **Atomic swap.** Each [`ModelSlot`] holds its current entry in one
+//!   swap cell, a `Mutex<Option<Arc<ModelEntry>>>`. Readers lock it just
+//!   long enough to clone the `Arc`; writers (serialized by the admin
+//!   lock) `mem::replace` the entry and drop the retired `Arc` after
+//!   unlocking. A request that resolved the old entry keeps its `Arc`
+//!   and finishes on the old model; every request resolved after the
+//!   swap sees the new one. The retired version is freed when its last
+//!   in-flight request drops it.
 //! * **Fail-closed activation.** [`Registry::install_text`] parses and
 //!   validates the uploaded `rock-model/v1` text *before* touching the
 //!   slot. A corrupt, truncated or version-mismatched snapshot is
@@ -33,7 +32,7 @@
 //!   fingerprint equal iff their snapshots render byte-identically.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rock_core::error::{Result, RockError};
@@ -49,69 +48,6 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-// ---------------------------------------------------------------- EpochSwap
-
-/// A hand-rolled atomic `Arc` swap (no `unsafe`, no dependencies).
-///
-/// Two value slots and an atomic index: readers lock the *active* slot
-/// just long enough to clone the `Arc`; writers fill the *inactive*
-/// slot, flip the index with a release store, and bump the epoch.
-/// Writer mutual exclusion is the caller's job (the registry serializes
-/// admin operations); readers never contend with writers for the same
-/// slot at swap time, so the read-side lock is effectively always
-/// uncontended.
-pub struct EpochSwap<T> {
-    slot_a: Mutex<Option<Arc<T>>>,
-    slot_b: Mutex<Option<Arc<T>>>,
-    /// Index of the live slot (0 = a, 1 = b). Publication point.
-    active: AtomicUsize,
-    /// Monotonic swap count; bumps on every [`EpochSwap::swap`].
-    epoch: AtomicU64,
-}
-
-impl<T> EpochSwap<T> {
-    /// An empty swap cell (epoch 0, nothing installed).
-    pub fn new(initial: Option<Arc<T>>) -> Self {
-        EpochSwap {
-            slot_a: Mutex::new(initial),
-            slot_b: Mutex::new(None),
-            active: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// The current value (`None` when nothing is installed). In-flight
-    /// holders of a previous `Arc` are unaffected by later swaps.
-    pub fn load(&self) -> Option<Arc<T>> {
-        let slot = if self.active.load(Ordering::Acquire) == 0 {
-            &self.slot_a
-        } else {
-            &self.slot_b
-        };
-        lock(slot).clone()
-    }
-
-    /// Atomically publishes `next` (or clears with `None`), returning
-    /// the new epoch. Callers must serialize writers externally.
-    pub fn swap(&self, next: Option<Arc<T>>) -> u64 {
-        let active = self.active.load(Ordering::Acquire);
-        let (incoming, flipped) = if active == 0 {
-            (&self.slot_b, 1)
-        } else {
-            (&self.slot_a, 0)
-        };
-        *lock(incoming) = next;
-        self.active.store(flipped, Ordering::Release);
-        // Tally: the release store above is the publication point.
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// How many swaps this cell has seen.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
     }
 }
 
@@ -238,12 +174,13 @@ impl ModelCounters {
 
 // ------------------------------------------------------------------- Slot
 
-/// One named mount point: the current entry behind an [`EpochSwap`],
-/// version sequence, per-model counters and the latency histogram of
-/// its labeling kernel calls (one per labeling request).
+/// One named mount point: the current entry in its swap cell, version
+/// sequence, per-model counters and the latency histogram of its
+/// labeling kernel calls (one per labeling request).
 pub struct ModelSlot {
     name: String,
-    swap: EpochSwap<ModelEntry>,
+    /// The swap cell: the serving entry, `None` when nothing is mounted.
+    current: Mutex<Option<Arc<ModelEntry>>>,
     state: AtomicU8,
     version_seq: AtomicU64,
     swaps: AtomicU64,
@@ -256,7 +193,7 @@ impl ModelSlot {
     fn new(name: &str) -> Self {
         ModelSlot {
             name: name.to_owned(),
-            swap: EpochSwap::new(None),
+            current: Mutex::new(None),
             state: AtomicU8::new(ModelState::Empty.as_u8()),
             version_seq: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
@@ -271,9 +208,17 @@ impl ModelSlot {
         &self.name
     }
 
-    /// The currently active entry, if any.
+    /// The currently active entry, if any. In-flight holders of a
+    /// previous `Arc` are unaffected by later swaps.
     pub fn current(&self) -> Option<Arc<ModelEntry>> {
-        self.swap.load()
+        lock(&self.current).clone()
+    }
+
+    /// Publishes `next` and returns the retired entry; the lock is
+    /// released before the caller drops it. Writers are serialized by
+    /// the registry's admin lock.
+    fn replace(&self, next: Option<Arc<ModelEntry>>) -> Option<Arc<ModelEntry>> {
+        std::mem::replace(&mut *lock(&self.current), next)
     }
 
     /// The slot's health state.
@@ -355,11 +300,11 @@ pub struct ModelStatus {
 /// The name/version-keyed model registry.
 pub struct Registry {
     /// Directory of slots. Lookups hold this lock only long enough to
-    /// clone an `Arc`; the hot path then reads through the slot's
-    /// [`EpochSwap`]. `BTreeMap` keeps status iteration deterministic.
+    /// clone an `Arc`; the hot path then reads through the slot's swap
+    /// cell. `BTreeMap` keeps status iteration deterministic.
     slots: Mutex<BTreeMap<String, Arc<ModelSlot>>>,
-    /// Serializes admin mutations (install/remove) so [`EpochSwap`]
-    /// writers never race each other.
+    /// Serializes admin mutations (install/remove) so swap-cell writers
+    /// never race each other.
     admin: Mutex<()>,
     swaps: AtomicU64,
     rejected_swaps: AtomicU64,
@@ -393,16 +338,12 @@ impl Registry {
                 .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
     }
 
-    fn slot_or_insert(&self, name: &str) -> (Arc<ModelSlot>, bool) {
+    fn slot_or_insert(&self, name: &str) -> Arc<ModelSlot> {
         let mut slots = lock(&self.slots);
-        match slots.get(name) {
-            Some(slot) => (Arc::clone(slot), true),
-            None => {
-                let slot = Arc::new(ModelSlot::new(name));
-                slots.insert(name.to_owned(), Arc::clone(&slot));
-                (slot, false)
-            }
-        }
+        let slot = slots
+            .entry(name.to_owned())
+            .or_insert_with(|| Arc::new(ModelSlot::new(name)));
+        Arc::clone(slot)
     }
 
     /// Installs (or hot-swaps) an already-validated snapshot under
@@ -420,11 +361,12 @@ impl Registry {
             });
         }
         let _admin = lock(&self.admin);
-        let (slot, existed) = self.slot_or_insert(name);
-        let replaced = existed && slot.current().is_some();
+        let slot = self.slot_or_insert(name);
         let version = slot.version_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(ModelEntry::new(snapshot, version));
-        slot.swap.swap(Some(Arc::clone(&entry)));
+        let retired = slot.replace(Some(Arc::clone(&entry)));
+        let replaced = retired.is_some();
+        drop(retired); // freed now unless an in-flight request still pins it
         slot.state
             .store(ModelState::Ready.as_u8(), Ordering::Release);
         slot.swaps.fetch_add(1, Ordering::Relaxed);
@@ -481,8 +423,7 @@ impl Registry {
             let mut slots = lock(&self.slots);
             slots.remove(name)?
         };
-        let was = slot.current().map(|e| e.version());
-        slot.swap.swap(None);
+        let was = slot.replace(None).map(|e| e.version());
         slot.state
             .store(ModelState::Empty.as_u8(), Ordering::Release);
         was
@@ -589,46 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_swap_publishes_atomically_and_keeps_old_arcs_alive() {
-        let cell = EpochSwap::new(Some(Arc::new(1u64)));
-        assert_eq!(cell.epoch(), 0);
-        let old = cell.load().unwrap();
-        assert_eq!(cell.swap(Some(Arc::new(2u64))), 1);
-        assert_eq!(*cell.load().unwrap(), 2);
-        // The pinned Arc still reads the old value.
-        assert_eq!(*old, 1);
-        assert_eq!(cell.swap(None), 2);
-        assert!(cell.load().is_none());
-        assert_eq!(cell.epoch(), 2);
-    }
-
-    #[test]
-    fn epoch_swap_concurrent_readers_always_see_a_whole_value() {
-        let cell = Arc::new(EpochSwap::new(Some(Arc::new((7u64, 7u64)))));
-        std::thread::scope(|scope| {
-            let writer = {
-                let cell = Arc::clone(&cell);
-                scope.spawn(move || {
-                    for i in 0..2000u64 {
-                        cell.swap(Some(Arc::new((i, i))));
-                    }
-                })
-            };
-            for _ in 0..4 {
-                let cell = Arc::clone(&cell);
-                scope.spawn(move || {
-                    for _ in 0..2000 {
-                        let v = cell.load().expect("never cleared");
-                        assert_eq!(v.0, v.1, "torn read");
-                    }
-                });
-            }
-            writer.join().unwrap();
-        });
-        assert_eq!(cell.epoch(), 2000);
-    }
-
-    #[test]
     fn install_resolve_and_versioning() {
         let reg = Registry::new();
         let first = reg.install("default", model_a()).unwrap();
@@ -657,6 +558,20 @@ mod tests {
         );
         assert_eq!(reg.swaps(), 2);
         assert_eq!(reg.models_loaded(), 1);
+    }
+
+    #[test]
+    fn swap_frees_the_retired_model_once_its_last_pin_drops() {
+        let reg = Registry::new();
+        reg.install("default", model_a()).unwrap();
+        let (_, pinned) = reg.resolve("default").unwrap();
+        let v1 = Arc::downgrade(&pinned);
+        reg.install("default", model_b()).unwrap();
+        // An in-flight request's pin keeps v1 alive across the swap...
+        assert!(v1.upgrade().is_some());
+        drop(pinned);
+        // ...and nothing else does.
+        assert!(v1.upgrade().is_none(), "retired model still resident");
     }
 
     #[test]
