@@ -54,7 +54,6 @@ usage: rock-serve --model [NAME=]<path> [options]
   --addr <host:port>    bind address            [default 127.0.0.1:7700]
   --threads <n>         worker threads, 0 = one per CPU  [default 4]
   --queue <n>           accept-queue capacity   [default 64]
-  --accept-shards <n>   acceptor threads (1-8)  [default 2]
   --deadline-ms <n>     per-request deadline    [default 1000]
   --max-body <bytes>    request body limit      [default 1048576]
   --admin-max-body <bytes>
@@ -118,11 +117,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String
                 config.queue_capacity = value("--queue")?
                     .parse()
                     .map_err(|_| format!("--queue expects an integer\n{USAGE}"))?;
-            }
-            "--accept-shards" => {
-                config.accept_shards = value("--accept-shards")?
-                    .parse()
-                    .map_err(|_| format!("--accept-shards expects an integer\n{USAGE}"))?;
             }
             "--deadline-ms" => {
                 let ms: u64 = value("--deadline-ms")?
@@ -242,8 +236,6 @@ mod tests {
             "8",
             "--queue",
             "128",
-            "--accept-shards",
-            "4",
             "--deadline-ms",
             "250",
             "--max-body",
@@ -268,7 +260,6 @@ mod tests {
         assert_eq!(o.config.addr, "0.0.0.0:9000");
         assert_eq!(o.config.threads, 8);
         assert_eq!(o.config.queue_capacity, 128);
-        assert_eq!(o.config.accept_shards, 4);
         assert_eq!(o.config.deadline, Duration::from_millis(250));
         assert_eq!(o.config.max_body, 4096);
         assert_eq!(o.config.admin_max_body, 8192);
@@ -299,7 +290,7 @@ mod tests {
     #[test]
     fn rejects_unknown_and_unparsable_flags() {
         assert!(parse(&["--model", "m", "--wat"]).is_err());
-        for flag in ["--batch-max", "--batch-wait-us"] {
+        for flag in ["--batch-max", "--batch-wait-us", "--accept-shards"] {
             let err = parse(&["--model", "m", flag, "8"]).unwrap_err();
             assert!(err.contains("unknown flag"), "{flag}: {err}");
         }

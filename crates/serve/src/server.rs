@@ -5,12 +5,12 @@
 //!
 //! ```text
 //! acceptor shards ──► bounded VecDeque<TcpStream> ──► N worker threads
-//!   (S listeners)          (Mutex + Condvar)               │
+//!   (2 listeners)          (Mutex + Condvar)               │
 //!      │                                     parse → route ┤
 //!      └── queue full: inline 503 + Retry-After            │
 //!                                                          ▼
 //!               Registry ──► ModelSlot ──► ModelEntry ──► label_chunk
-//!            (epoch Arc-swap    (pinned at dispatch)   (on the worker)
+//!            (Arc swap cell     (pinned at dispatch)   (on the worker)
 //!             per model name)
 //! ```
 //!
@@ -78,10 +78,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Bounded accept-queue capacity; beyond it, connections are shed.
     pub queue_capacity: usize,
-    /// Acceptor threads polling the listener (clamped to 1–8). More
-    /// shards keep accept latency flat when many clients connect at
-    /// once; they all feed the same bounded queue.
-    pub accept_shards: usize,
     /// Per-request wall-clock deadline (enforced between body lines).
     pub deadline: Duration,
     /// Largest accepted request body on non-admin paths, in bytes
@@ -109,7 +105,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: 4,
             queue_capacity: 64,
-            accept_shards: 2,
             deadline: Duration::from_secs(1),
             max_body: 1 << 20,
             admin_max_body: 64 << 20,
@@ -237,7 +232,7 @@ impl Server {
     /// shutdown. A thread count of 0 resolves to one worker per
     /// available CPU (capped at 16); explicit counts and the queue
     /// capacity are clamped to at least 1 (a server with no workers or
-    /// no queue slots could never answer), and acceptor shards to 1–8.
+    /// no queue slots could never answer).
     /// The registry may start empty: `/healthz` answers `503` until an
     /// admin upload mounts a model.
     ///
@@ -256,7 +251,6 @@ impl Server {
             t => t,
         };
         config.queue_capacity = config.queue_capacity.max(1);
-        config.accept_shards = config.accept_shards.clamp(1, 8);
         let io = |message: String| RockError::Io {
             path: config.addr.clone(),
             message,
@@ -299,8 +293,8 @@ impl Server {
             path: "rock-serve acceptor".into(),
             message: e.to_string(),
         };
-        let mut acceptors = Vec::with_capacity(shared.config.accept_shards);
-        for i in 0..shared.config.accept_shards {
+        let mut acceptors = Vec::with_capacity(ACCEPT_SHARDS);
+        for i in 0..ACCEPT_SHARDS {
             // Every shard polls its own clone of the same socket; the
             // non-blocking flag set above is shared by all clones.
             let own = listener.try_clone().map_err(acceptor_io)?;
@@ -436,6 +430,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 /// How long the acceptor keeps reading a shed connection's unread
 /// request before closing it anyway.
 const SHED_DRAIN: Duration = Duration::from_millis(250);
+
+/// Acceptor threads polling the listener; they all feed the same
+/// bounded queue. Two, not one: draining a shed connection holds its
+/// acceptor for up to [`SHED_DRAIN`], and the other keeps accepting
+/// meanwhile.
+const ACCEPT_SHARDS: usize = 2;
 
 /// Answers a shed connection inline on the acceptor thread. Best
 /// effort: the client may already be gone.
@@ -1452,12 +1452,10 @@ mod tests {
     #[test]
     fn zero_sized_pools_resolve_to_a_working_server() {
         // threads: 0 is the auto convention (one per CPU, capped);
-        // queue_capacity: 0 is clamped to 1; accept_shards: 0 to 1.
-        // None may be fatal.
+        // queue_capacity: 0 is clamped to 1. Neither may be fatal.
         let config = ServeConfig {
             threads: 0,
             queue_capacity: 0,
-            accept_shards: 0,
             ..ServeConfig::default()
         };
         let handle = Server::start(toy_snapshot(), config).unwrap();
