@@ -19,11 +19,33 @@
 
 use std::io::{BufRead, Write};
 
+use crate::cast;
 use crate::data::ClusterId;
 use crate::error::{Result, RockError};
 
 /// Format header line.
 const HEADER: &str = "rock-assignments v1";
+
+/// Writes the header: the format line, then `n=… k=… outliers=…`.
+pub(crate) fn write_header<W: Write>(
+    out: &mut W,
+    n: u64,
+    k: u64,
+    outliers: u64,
+) -> std::io::Result<()> {
+    write!(out, "{HEADER}\nn={n} k={k} outliers={outliers}\n")
+}
+
+/// Appends the line of point `row` to `buf`: `"{row} {cluster}\n"`, or
+/// `"{row} -\n"` for an outlier. Callers reuse `buf`, so once it has
+/// grown a line costs no allocation.
+pub(crate) fn render_line(buf: &mut Vec<u8>, row: u64, cluster: Option<u64>) {
+    // Writing into a Vec<u8> cannot fail.
+    let _ = match cluster {
+        Some(c) => writeln!(buf, "{row} {c}"),
+        None => writeln!(buf, "{row} -"),
+    };
+}
 
 /// Writes assignments (`None` = outlier) to `out`.
 ///
@@ -36,17 +58,17 @@ pub fn write_assignments<W: Write>(
     let k = assignments
         .iter()
         .flatten()
-        .map(|c| c.0 + 1)
+        .map(|c| u64::from(c.0) + 1)
         .max()
         .unwrap_or(0);
     let outliers = assignments.iter().filter(|a| a.is_none()).count();
-    writeln!(out, "{HEADER}")?;
-    writeln!(out, "n={} k={} outliers={}", assignments.len(), k, outliers)?;
+    let n = cast::usize_to_u64(assignments.len());
+    write_header(out, n, k, cast::usize_to_u64(outliers))?;
+    let mut line = Vec::new();
     for (i, a) in assignments.iter().enumerate() {
-        match a {
-            Some(c) => writeln!(out, "{i} {}", c.0)?,
-            None => writeln!(out, "{i} -")?,
-        }
+        line.clear();
+        render_line(&mut line, cast::usize_to_u64(i), a.map(|c| u64::from(c.0)));
+        out.write_all(&line)?;
     }
     Ok(())
 }

@@ -46,6 +46,7 @@ use crate::cast;
 use crate::checkpoint::{tmp_path, StreamCheckpoint};
 use crate::data::Transaction;
 use crate::error::{Result, RockError};
+use crate::export;
 use crate::guard::{Degradation, Guard, Trip};
 use crate::hash::{fnv1a64, Fnv1a64};
 use crate::retry::{RetryOutcome, RetryPolicy};
@@ -309,6 +310,8 @@ impl<'a> StreamLabeler<'a> {
 
         let mut hasher = Fnv1a64::from_state(cp.partial_fnv);
         let mut chunks_this_run = 0u64;
+        // One chunk's assignment lines, reused across chunks.
+        let mut text: Vec<u8> = Vec::new();
 
         // --- Chunk loop ----------------------------------------------
         // (A `for` over a fixed range: guard trips are checked at the
@@ -342,23 +345,19 @@ impl<'a> StreamLabeler<'a> {
             let labels = self.snapshot.label_chunk(&refs, self.threads);
 
             // Render this chunk's assignment lines.
-            let mut text = String::with_capacity(labels.len() * 10);
+            text.clear();
             let mut labeled = 0u64;
             let mut outliers = 0u64;
             let mut kmax = cp.kmax;
             for (j, l) in labels.iter().enumerate() {
-                let row = cp.rows_done + cast::usize_to_u64(j);
-                match l {
+                let cluster = l.map(cast::usize_to_u64);
+                export::render_line(&mut text, cp.rows_done + cast::usize_to_u64(j), cluster);
+                match cluster {
                     Some(c) => {
-                        let c = cast::usize_to_u64(*c);
-                        text.push_str(&format!("{row} {c}\n"));
                         labeled += 1;
                         kmax = kmax.max(c + 1);
                     }
-                    None => {
-                        text.push_str(&format!("{row} -\n"));
-                        outliers += 1;
-                    }
+                    None => outliers += 1,
                 }
             }
 
@@ -368,14 +367,14 @@ impl<'a> StreamLabeler<'a> {
             let pre_len = cp.partial_bytes;
             match self.retry.run(guard, observer, Phase::Labeling, || {
                 self.probe(&partial)?;
-                append_at(&partial, pre_len, text.as_bytes())
+                append_at(&partial, pre_len, &text)
             })? {
                 RetryOutcome::Done(()) => {}
                 RetryOutcome::Tripped(trip) => {
                     return self.degrade(&cp, resumed, &partial, output, guard, trip)
                 }
             }
-            hasher.update(text.as_bytes());
+            hasher.update(&text);
             let next = StreamCheckpoint {
                 chunks_done: index + 1,
                 rows_done: cp.rows_done + cast::usize_to_u64(labels.len()),
@@ -534,12 +533,7 @@ impl<'a> StreamLabeler<'a> {
         match self.retry.run(guard, observer, Phase::Labeling, || {
             self.probe(output)?;
             let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp).map_err(io)?);
-            write!(
-                out,
-                "rock-assignments v1\nn={} k={} outliers={}\n",
-                cp.rows_done, cp.kmax, cp.outliers
-            )
-            .map_err(io)?;
+            export::write_header(&mut out, cp.rows_done, cp.kmax, cp.outliers).map_err(io)?;
             let body = std::fs::File::open(partial).map_err(io)?;
             std::io::copy(&mut body.take(cp.partial_bytes), &mut out).map_err(io)?;
             out.into_inner()
