@@ -203,6 +203,8 @@ gate_bench() {
     ./target/release/exp_links --metrics target/bench/BENCH_links.json >/dev/null
     echo "-- exp_mushroom (E2: sampled fit that labels the rest)"
     ./target/release/exp_mushroom --metrics target/bench/BENCH_mushroom.json >/dev/null
+    echo "-- exp_votes (E1: congressional votes, 3 epochs)"
+    ./target/release/exp_votes --metrics target/bench/BENCH_votes.json >/dev/null
     echo "-- exp_scale (1M-row out-of-core labeling, 64 MiB ceiling)"
     ./target/release/exp_scale --metrics target/bench/BENCH_scale.json >/dev/null
     echo "-- exp_serve (loopback load + NDJSON bodies + reload soak)"
@@ -236,6 +238,10 @@ gate_bench() {
         --baseline results/BENCH_mushroom.json \
         --fresh target/bench/BENCH_mushroom.json \
         --floor 0.35
+    echo "-- bench_check BENCH_votes.json"
+    ./target/release/bench_check \
+        --baseline results/BENCH_votes.json \
+        --fresh target/bench/BENCH_votes.json
     echo "-- bench_check BENCH_scale.json"
     ./target/release/bench_check \
         --baseline results/BENCH_scale.json \
