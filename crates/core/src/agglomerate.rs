@@ -306,16 +306,15 @@ pub fn agglomerate_guarded(
     let (mut batch_merges, mut batch_goodness) = (0u64, 0.0f64);
     let mut end_batch = |span: SpanStart, merges: u64, goodness: f64, active: usize| {
         batch_hist.record(Tracer::elapsed_ns(&span));
-        let payload = Payload::new()
-            .count("merges", merges)
-            .num("goodness", goodness)
-            .count("active", cast::usize_to_u64(active));
         tracer.end(
             span,
             "agglomerate.batch",
             Some(Phase::Agglomerate),
             0,
-            payload,
+            Payload::new()
+                .count("merges", merges)
+                .num("goodness", goodness)
+                .count("active", cast::usize_to_u64(active)),
         );
     };
 
