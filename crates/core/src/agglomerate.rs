@@ -10,19 +10,24 @@
 //!
 //! Goodness is never stored: a row keeps only counts, and every goodness
 //! is computed where a heap key is made, as `merge_goodness(count, own
-//! size, partner size)`. The constant factor is kept small in three ways:
+//! size, partner size)`. The constant factor is kept small in four ways:
 //! * Link rows are hash maps under a one-multiply slot-id hasher, so a
 //!   row update is one integer hash, never SipHash.
-//! * Local heaps are *lazy*: a partner repair pushes the new key and
+//! * The engine is built one slot at a time: the upper-triangle link
+//!   table is transposed once, so each slot's row and heap are filled
+//!   from its partners in ascending id order, without scattering every
+//!   link over two slots' tables.
+//! * Local heaps are *lazy*: a partner repair adds the new key and
 //!   leaves the old one in place. A key records its partner's size and
 //!   is live while the partner still has that size (a live cluster only
 //!   grows; a retired or pruned one has size 0); a slot's own heap is
 //!   rebuilt whenever its own size changes. Stale keys are dropped when
-//!   they surface. Each heap caches its best live key, so a repair
-//!   rescans only when that best pointed at `u` or `v` and the merged
-//!   key lost to it, and a heap is rebuilt from its row once stale keys
-//!   outnumber live ones. The kept cluster's heap is heapified from its
-//!   merged row in `O(row)`.
+//!   they surface. Each heap holds its best live key outside the binary
+//!   heap. A repair whose best pointed at `u` or `v` drops that stale
+//!   best at once: the merged key replaces it in `O(1)` if it wins, and
+//!   only if it lost does the repair rescan. A heap is rebuilt from its
+//!   row once it holds more than twice the row's keys. The kept
+//!   cluster's heap is heapified from its merged row in `O(row)`.
 //! * The global heap is an [`IndexedHeap`] over the dense slot ids.
 //!
 //! The merge order is a pure function of the strict [`GoodnessKey`]
@@ -38,6 +43,7 @@
 //! clusters that are still very small are discarded — outliers tend to form
 //! singletons or tiny groups that stop participating in merges early.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 
@@ -298,25 +304,32 @@ pub fn agglomerate_guarded(
     let mut pruned_at_checkpoint = checkpoint.is_none();
 
     // Trace instrumentation: one `agglomerate.batch` span (and one
-    // histogram sample) per MERGE_BATCH merges. All of it is `None`-guarded,
-    // so a disabled tracer costs one atomic load before the loop.
+    // histogram sample) per MERGE_BATCH merges, with the batch's repair
+    // tallies. All of it is `None`-guarded, so a disabled tracer costs
+    // one atomic load before the loop.
     let tracer = observer.tracer();
     let mut batch_span = tracer.begin();
     let mut batch_hist = LatencyHistogram::new();
     let (mut batch_merges, mut batch_goodness) = (0u64, 0.0f64);
-    let mut end_batch = |span: SpanStart, merges: u64, goodness: f64, active: usize| {
-        batch_hist.record(Tracer::elapsed_ns(&span));
-        tracer.end(
-            span,
-            "agglomerate.batch",
-            Some(Phase::Agglomerate),
-            0,
-            Payload::new()
-                .count("merges", merges)
-                .num("goodness", goodness)
-                .count("active", cast::usize_to_u64(active)),
-        );
-    };
+    let mut batch_from = engine.tally;
+    let mut end_batch =
+        |span: SpanStart, merges: u64, goodness: f64, active: usize, tally: RepairTally| {
+            batch_hist.record(Tracer::elapsed_ns(&span));
+            tracer.end(
+                span,
+                "agglomerate.batch",
+                Some(Phase::Agglomerate),
+                0,
+                Payload::new()
+                    .count("merges", merges)
+                    .num("goodness", goodness)
+                    .count("active", cast::usize_to_u64(active))
+                    .count("repairs", tally.repairs)
+                    .count("replaced", tally.replaced)
+                    .count("rescans", tally.rescans)
+                    .count("dropped", tally.dropped),
+            );
+        };
 
     let mut trip = None;
     let mut active = n;
@@ -350,16 +363,19 @@ pub fn agglomerate_guarded(
             batch_goodness = goodness_value;
             if batch_merges == MERGE_BATCH {
                 if let Some(span) = batch_span.take() {
-                    end_batch(span, batch_merges, batch_goodness, active);
+                    let tally = engine.tally.since(batch_from);
+                    end_batch(span, batch_merges, batch_goodness, active, tally);
                 }
                 batch_merges = 0;
+                batch_from = engine.tally;
                 batch_span = tracer.begin();
             }
         }
     }
     if batch_merges > 0 {
         if let Some(span) = batch_span.take() {
-            end_batch(span, batch_merges, batch_goodness, active);
+            let tally = engine.tally.since(batch_from);
+            end_batch(span, batch_merges, batch_goodness, active, tally);
         }
     }
     if batch_hist.count() > 0 {
@@ -408,6 +424,28 @@ impl std::hash::Hasher for SlotHasher {
 /// Cross-link row of one slot: partner slot → cross-link count.
 type Row = HashMap<u32, u64, BuildHasherDefault<SlotHasher>>;
 
+/// The lower triangle of `links`, slot by slot: `(start, below)` where
+/// slot `j`'s partners `i < j` are `below[start[j]..start[j + 1]]` as
+/// `(i, link)`, ascending in `i`. 8 bytes per link entry.
+fn transpose(links: &LinkTable) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let mut start = vec![0usize; links.len() + 1];
+    for (_, j, _) in links.iter() {
+        start[cast::u32_to_usize(j)] += 1;
+    }
+    let mut total = 0;
+    for s in &mut start {
+        total += std::mem::replace(s, total);
+    }
+    let mut below = vec![(0, 0); total];
+    let mut next = start.clone();
+    for (i, j, c) in links.iter() {
+        let at = &mut next[cast::u32_to_usize(j)];
+        below[*at] = (i, c);
+        *at += 1;
+    }
+    (start, below)
+}
+
 /// A local-heap key: the goodness of merging with `partner`, seen from
 /// the heap's own slot, and the partner's size when the key was made.
 /// Ordered as a [`GoodnessKey`] (goodness, then the smaller partner id);
@@ -447,12 +485,13 @@ impl LocalKey {
     }
 }
 
-/// A local heap `q[i]`, maintained lazily.
+/// A local heap `q[i]`, maintained lazily, with its greatest live key
+/// held outside the binary heap.
 ///
-/// Keys are pushed whenever a partner changes size and are never
-/// removed in place; a stale key is dropped when it reaches the top.
-/// `best` caches the greatest live key, which is exactly what an eager
-/// heap's `peek` would return.
+/// `best` is the greatest live key, exactly what an eager heap's `peek`
+/// would return (`None` when no key is live). `keys` holds every other
+/// key made for the slot, live or stale: no live key in it beats `best`,
+/// and a stale key is dropped when it reaches the top during a rescan.
 #[derive(Debug, Default)]
 struct LocalHeap {
     keys: BinaryHeap<LocalKey>,
@@ -460,27 +499,70 @@ struct LocalHeap {
 }
 
 impl LocalHeap {
-    /// Heapifies `keys` (all live) in `O(len)`.
+    /// Heapifies `keys` (all live) in `O(len)` and takes the greatest
+    /// out as `best`.
     fn from_keys(keys: Vec<LocalKey>) -> Self {
-        let keys = BinaryHeap::from(keys);
-        let best = keys.peek().copied();
+        let mut keys = BinaryHeap::from(keys);
+        let best = keys.pop();
         LocalHeap { keys, best }
     }
 
-    /// Drops stale keys off the top until the greatest key is live, and
-    /// caches it as `best`. Returns the number of keys dropped.
-    fn rescan(&mut self, members: &[Vec<u32>]) -> u64 {
+    /// Keys held, `best` included.
+    fn len(&self) -> usize {
+        self.keys.len() + usize::from(self.best.is_some())
+    }
+
+    /// Replaces a stale `best` (already dropped by the caller) with the
+    /// greatest live key among `key` and the heap. Drops stale keys off
+    /// the top while they beat `key`; a live top that beats it becomes
+    /// `best`, and `key`, if any, takes its place in the heap. Returns the
+    /// number of keys dropped.
+    fn rescan(&mut self, key: Option<LocalKey>, members: &[Vec<u32>]) -> u64 {
         let mut dropped = 0;
-        // Bounded: each pass drops one key, and at most every key is stale.
-        for _ in 0..self.keys.len() {
-            if self.keys.peek().is_none_or(|k| k.is_live(members)) {
+        // Bounded: each pass but the last drops one key.
+        for _ in 0..=self.keys.len() {
+            let Some(mut top) = self.keys.peek_mut() else {
+                break;
+            };
+            if key.is_some_and(|k| k > *top) {
                 break;
             }
-            self.keys.pop();
+            if top.is_live(members) {
+                self.best = Some(match key {
+                    Some(k) => std::mem::replace(&mut *top, k),
+                    None => PeekMut::pop(top),
+                });
+                return dropped;
+            }
+            PeekMut::pop(top);
             dropped += 1;
         }
-        self.best = self.keys.peek().copied();
+        self.best = key;
         dropped
+    }
+}
+
+/// What the partner repairs of a run did, counted from its start. Every
+/// repair found its cached best live (and kept it or pushed it into the
+/// heap), `replaced` it, or rescanned; `dropped` counts the stale keys
+/// those rescans popped off the heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct RepairTally {
+    repairs: u64,
+    replaced: u64,
+    rescans: u64,
+    dropped: u64,
+}
+
+impl RepairTally {
+    /// The repairs done since `earlier`, a tally of the same run.
+    fn since(self, earlier: RepairTally) -> RepairTally {
+        RepairTally {
+            repairs: self.repairs - earlier.repairs,
+            replaced: self.replaced - earlier.replaced,
+            rescans: self.rescans - earlier.rescans,
+            dropped: self.dropped - earlier.dropped,
+        }
     }
 }
 
@@ -503,6 +585,7 @@ struct Engine<'a> {
     /// keeps its own tallies).
     local_pushes: u64,
     local_pops: u64,
+    tally: RepairTally,
     history: Vec<MergeStep>,
     record_history: bool,
     merges: usize,
@@ -513,41 +596,37 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
         let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
-        // Size every row and heap exactly, then fill both from the
-        // upper-triangle link table.
-        let mut degree = vec![0usize; n];
-        for (i, j, _) in links.iter() {
-            degree[cast::u32_to_usize(i)] += 1;
-            degree[cast::u32_to_usize(j)] += 1;
-        }
-        let mut rows: Vec<Row> = degree
-            .iter()
-            .map(|&d| Row::with_capacity_and_hasher(d, BuildHasherDefault::default()))
+        // Slot s's partners in ascending id order: those below it, then
+        // its upper-triangle row. Every row and key vector is sized
+        // exactly, then filled one slot after another in that order,
+        // which is the order a fill from the link table in pair order
+        // gives each slot, so every row's hash layout is the same. All
+        // rows are allocated before all key vectors: allocating each
+        // slot's pair together measured a higher peak RSS.
+        let (start, below) = transpose(links);
+        let partners = |s: usize| below[start[s]..start[s + 1]].iter().chain(links.row(s));
+        let degree = |s: usize| start[s + 1] - start[s] + links.row(s).len();
+        let mut rows: Vec<Row> = (0..n)
+            .map(|s| Row::with_capacity_and_hasher(degree(s), BuildHasherDefault::default()))
             .collect();
-        let mut keys: Vec<Vec<LocalKey>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        for (i, j, c) in links.iter() {
-            let count = u64::from(c);
-            let (iu, ju) = (cast::u32_to_usize(i), cast::u32_to_usize(j));
-            rows[iu].insert(j, count);
-            rows[ju].insert(i, count);
-            keys[iu].push(LocalKey::new(goodness, count, 1, j, 1));
-            keys[ju].push(LocalKey::new(goodness, count, 1, i, 1));
-        }
+        let keys: Vec<Vec<LocalKey>> = (0..n).map(|s| Vec::with_capacity(degree(s))).collect();
         let mut global = IndexedHeap::with_capacity(n);
+        let mut local = Vec::with_capacity(n);
         let mut local_pushes = 0;
-        let local: Vec<LocalHeap> = keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| {
-                local_pushes += cast::usize_to_u64(k.len());
-                let heap = LocalHeap::from_keys(k);
-                if let Some(best) = heap.best {
-                    let iu = cast::usize_to_u32(i);
-                    global.insert_or_update(iu, GoodnessKey::new(best.goodness(), iu));
-                }
-                heap
-            })
-            .collect();
+        for (s, (row, mut k)) in rows.iter_mut().zip(keys).enumerate() {
+            for &(p, c) in partners(s) {
+                let count = u64::from(c);
+                row.insert(p, count);
+                k.push(LocalKey::new(goodness, count, 1, p, 1));
+            }
+            local_pushes += cast::usize_to_u64(k.len());
+            let heap = LocalHeap::from_keys(k);
+            if let Some(best) = heap.best {
+                let su = cast::usize_to_u32(s);
+                global.insert_or_update(su, GoodnessKey::new(best.goodness(), su));
+            }
+            local.push(heap);
+        }
         Engine {
             goodness,
             members,
@@ -557,6 +636,7 @@ impl<'a> Engine<'a> {
             global,
             local_pushes,
             local_pops: 0,
+            tally: RepairTally::default(),
             history: Vec::new(),
             record_history,
             merges: 0,
@@ -636,7 +716,7 @@ impl<'a> Engine<'a> {
 
         // Retire v.
         let retired = std::mem::take(&mut self.local[vi]);
-        self.local_pops += cast::usize_to_u64(retired.keys.len());
+        self.local_pops += cast::usize_to_u64(retired.len());
         self.global.remove(v);
 
         // Re-key every partner x of the merged cluster from both sides,
@@ -646,8 +726,10 @@ impl<'a> Engine<'a> {
         // partner's repair touches only its own row and heap, so the
         // row's order does not matter.
         let nw = nu + nv;
-        let mut keys = std::mem::take(&mut self.local[ui].keys).into_vec();
-        self.local_pops += cast::usize_to_u64(keys.len());
+        let old = std::mem::take(&mut self.local[ui]);
+        self.local_pops += cast::usize_to_u64(old.len());
+        let old_best = old.best;
+        let mut keys = old.keys.into_vec();
         keys.clear();
         for (&x, &count) in &row {
             let nx = self.size(x);
@@ -656,7 +738,6 @@ impl<'a> Engine<'a> {
             self.repair(x, v, count, x_side);
         }
         self.local_pushes += cast::usize_to_u64(keys.len());
-        let old_best = self.local[ui].best;
         self.local[ui] = LocalHeap::from_keys(keys);
         self.rows[ui] = row;
         self.publish(u, old_best);
@@ -677,9 +758,10 @@ impl<'a> Engine<'a> {
 
     /// Partner `x` of a merge of `v` into `u = key.partner()`: its row
     /// loses `v` and holds the merged cluster under `u` with `count`, and
-    /// its heap gets `key`. A rescan only when the cached best was `u` or
-    /// `v` and `key` lost to it; otherwise the new best is the greater of
-    /// the two.
+    /// its heap gets `key`. A cached best for `u` or `v` is stale and is
+    /// dropped at once: `key` replaces it if it wins, and a rescan runs
+    /// only if it lost. A live best stays unless `key` beats it, and is
+    /// then pushed into the heap.
     fn repair(&mut self, x: u32, v: u32, count: u64, key: LocalKey) {
         let xi = cast::u32_to_usize(x);
         let u = key.partner();
@@ -687,27 +769,42 @@ impl<'a> Engine<'a> {
         row.remove(&v);
         row.insert(u, count);
         let heap = &mut self.local[xi];
-        heap.keys.push(key);
         self.local_pushes += 1;
+        self.tally.repairs += 1;
         let old_best = heap.best;
         match old_best {
-            Some(b) if (b.partner() == u || b.partner() == v) && key < b => {
-                self.local_pops += heap.rescan(&self.members);
+            Some(b) if b.partner() == u || b.partner() == v => {
+                self.local_pops += 1;
+                if key > b {
+                    heap.best = Some(key);
+                    self.tally.replaced += 1;
+                } else {
+                    let dropped = heap.rescan(Some(key), &self.members);
+                    self.local_pops += dropped;
+                    self.tally.rescans += 1;
+                    self.tally.dropped += dropped;
+                }
             }
-            _ => heap.best = Some(old_best.map_or(key, |b| b.max(key))),
+            Some(b) if key < b => heap.keys.push(key),
+            Some(b) => {
+                heap.keys.push(b);
+                heap.best = Some(key);
+            }
+            None => heap.best = Some(key),
         }
         self.settle(x, old_best);
     }
 
-    /// Ends a change to slot `x`'s heap: rebuilds the heap from the row
-    /// once stale keys outnumber live ones, which bounds it at about
-    /// twice the row (every old key popped, every live key re-pushed),
-    /// then publishes the best.
+    /// Ends a change to slot `x`'s heap: rebuilds it from the row once
+    /// the binary heap holds more than twice the row's keys (stale keys
+    /// then outnumber live ones), which bounds it at about twice the row
+    /// (every old key popped, every live key re-pushed), then publishes
+    /// the best.
     fn settle(&mut self, x: u32, old_best: Option<LocalKey>) {
         let xi = cast::u32_to_usize(x);
         let (row, heap) = (&self.rows[xi], &mut self.local[xi]);
         if heap.keys.len() > 2 * row.len() {
-            self.local_pops += cast::usize_to_u64(heap.keys.len());
+            self.local_pops += cast::usize_to_u64(heap.len());
             self.local_pushes += cast::usize_to_u64(row.len());
             let own = self.members[xi].len();
             let mut keys = std::mem::take(&mut heap.keys).into_vec();
@@ -733,7 +830,7 @@ impl<'a> Engine<'a> {
         let heap = &mut self.local[xi];
         let old_best = heap.best;
         if old_best.is_some_and(|b| b.partner() == s) {
-            self.local_pops += heap.rescan(&self.members);
+            self.local_pops += 1 + heap.rescan(None, &self.members);
         }
         self.settle(x, old_best);
     }
@@ -756,7 +853,7 @@ impl<'a> Engine<'a> {
             self.outliers.extend(mem);
             self.internal[si] = 0;
             let retired = std::mem::take(&mut self.local[si]);
-            self.local_pops += cast::usize_to_u64(retired.keys.len());
+            self.local_pops += cast::usize_to_u64(retired.len());
             self.global.remove(s);
             // Each partner drops s independently: order-insensitive.
             for (x, _) in std::mem::take(&mut self.rows[si]) {
@@ -805,11 +902,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Checks the lazy-heap invariants against a full recomputation:
-    /// rows are symmetric in partners and counts, a slot's live keys are
-    /// exactly the keys its row makes now, each cached best is the
-    /// greatest live key, and the global heap holds exactly the slots
-    /// with a best, keyed by its goodness. Test helper; `O(links)` per
-    /// call.
+    /// rows are symmetric in partners and counts, a slot's live keys (the
+    /// heap's live keys plus `best`) are exactly the keys its row makes
+    /// now, each held once, `best` is the greatest of them, and the global
+    /// heap holds exactly the slots with a best, keyed by its goodness.
+    /// Test helper; `O(links)` per call.
     #[cfg(test)]
     fn assert_invariants(&self) {
         self.global.assert_invariants();
@@ -825,10 +922,10 @@ impl<'a> Engine<'a> {
                 .keys
                 .iter()
                 .copied()
+                .chain(heap.best)
                 .filter(|k| k.is_live(&self.members))
                 .collect();
             live.sort_unstable();
-            live.dedup();
             // Hash order is fine: both sides are sorted before comparing.
             let mut fresh: Vec<LocalKey> = row
                 .iter()
@@ -1538,7 +1635,8 @@ mod tests {
     #[test]
     fn engine_matches_oracle_on_random_link_tables() {
         let mut merges = 0;
-        for seed in 0..10u64 {
+        // Seed 101 displaces a live best that a later rescan must find.
+        for seed in (0..10u64).chain([101]) {
             let mut rng = Rng::seed_from_u64(seed);
             let n = rng.gen_range(2..=24usize);
             let density = [0.15, 0.4, 0.9][seed as usize % 3];
@@ -1669,6 +1767,84 @@ mod tests {
                 }
             }
             assert!(engine.global.is_empty());
+        }
+    }
+
+    /// Runs `agglomerate_guarded` down to one cluster with tracing on and
+    /// sums the repair tallies of its `agglomerate.batch` spans.
+    fn traced_batch_tallies(
+        n: usize,
+        links: &LinkTable,
+        good: &Goodness,
+        tag: &str,
+    ) -> RepairTally {
+        use crate::telemetry::trace::{PayloadValue, TraceRecord};
+        let path = std::env::temp_dir().join(format!(
+            "rock-agglomerate-{tag}-{}.trace",
+            std::process::id()
+        ));
+        let obs = Observer::new();
+        obs.tracer().start_to_path(&path, "unit").unwrap();
+        let cfg = AgglomerateConfig::new(1);
+        agglomerate_guarded(n, links, good, &cfg, &obs, &Guard::unlimited()).unwrap();
+        obs.tracer().finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut sum = RepairTally::default();
+        for line in text.lines().skip(1) {
+            let TraceRecord::Span(span) = TraceRecord::parse_line(line).unwrap() else {
+                continue;
+            };
+            if span.name != "agglomerate.batch" {
+                continue;
+            }
+            let field = |key: &str| match span.payload.iter().find(|(k, _)| k == key) {
+                Some((_, PayloadValue::Num(v))) => *v as u64,
+                other => panic!("{tag}: batch field {key}: {other:?}"),
+            };
+            sum.repairs += field("repairs");
+            sum.replaced += field("replaced");
+            sum.rescans += field("rescans");
+            sum.dropped += field("dropped");
+        }
+        sum
+    }
+
+    #[test]
+    fn batch_repair_counts_sum_to_the_run_totals() {
+        // 159 merges: two full batches and a partial one, with every kind
+        // of repair.
+        let mut rng = Rng::seed_from_u64(7);
+        let n = 160;
+        let links = random_links(&mut rng, n, 0.3, 2);
+        let good = Goodness::new(0.5, &MarketBasket).unwrap();
+        let mut engine = Engine::new(n, &links, &good, false);
+        while engine.merge_best().is_some() {}
+        let total = engine.tally;
+        assert!(total.replaced > 0 && total.rescans > 0 && total.dropped > 0);
+        assert!(total.repairs > total.replaced + total.rescans);
+        assert_eq!(traced_batch_tallies(n, &links, &good, "sum"), total);
+    }
+
+    #[test]
+    fn identical_rows_either_replace_or_rescan_every_repair() {
+        // Every pair is linked, so the merge that leaves a clusters
+        // repairs the other a - 1. A merged key beats the stale best it
+        // meets when f(θ) < 1/2 (θ = 0.5) and loses to it when f(θ) > 1/2
+        // (θ = 0.2).
+        let n = 200;
+        let same: TransactionSet = (0..n).map(|_| Transaction::new([1, 2, 3])).collect();
+        for theta in [0.5, 0.2] {
+            let g = NeighborGraph::compute(&same, &Jaccard, theta, 1).unwrap();
+            let links = LinkTable::compute(&g);
+            let good = Goodness::new(theta, &MarketBasket).unwrap();
+            let t = traced_batch_tallies(n, &links, &good, &format!("same-{theta}"));
+            assert_eq!(t.repairs, ((n - 1) * (n - 2) / 2) as u64, "theta={theta}");
+            if theta == 0.5 {
+                assert_eq!((t.replaced, t.rescans), (t.repairs, 0), "theta={theta}");
+            } else {
+                assert_eq!((t.replaced, t.rescans), (0, t.repairs), "theta={theta}");
+            }
         }
     }
 

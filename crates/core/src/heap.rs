@@ -11,8 +11,9 @@
 //! slot numbers (`0..n` in the merge engine), so the index is a plain
 //! `Vec` grown on demand: a sift step costs two array stores, not two
 //! hash-map inserts. The per-cluster *local* heaps `q[i]` do not use this
-//! type; they are lazy `BinaryHeap`s whose keys are validated against
-//! their partners' sizes (see `agglomerate`).
+//! type; each is a lazy `BinaryHeap` whose keys are validated against
+//! their partners' sizes, with its best live key held beside it (see
+//! `agglomerate`).
 
 use crate::telemetry::MemoryEstimate;
 
