@@ -210,52 +210,48 @@ gate_bench() {
     echo "-- exp_serve (loopback load + NDJSON bodies + reload soak)"
     cargo build --offline --release -q -p rock-serve
     ./target/release/exp_serve --metrics target/bench/BENCH_serve.json >/dev/null
-    echo "-- bench_check BENCH_scalability.json"
+    # Every file gets its verdict: a failing comparison is recorded and
+    # the next one still runs, so one slow grid cannot hide the others.
+    bench_failed=""
     # --floor 0.35: the grid's sub-second cells swing well past 25% from
     # scheduler noise on a shared core (different cells each run); the
     # multi-second cells that carry the asymptotics argument still get
     # the full ±25% band, which dwarfs this floor.
-    ./target/release/bench_check \
-        --baseline results/BENCH_scalability.json \
-        --fresh target/bench/BENCH_scalability.json \
-        --floor 0.35
-    echo "-- bench_check BENCH_neighbors.json"
+    bench_check_file BENCH_scalability.json --floor 0.35
     # Same floor rationale: the 1k join cells finish in tens of
     # milliseconds; the 20k cells that carry the speedup argument keep
     # the full relative band.
-    ./target/release/bench_check \
-        --baseline results/BENCH_neighbors.json \
-        --fresh target/bench/BENCH_neighbors.json \
-        --floor 0.35
-    echo "-- bench_check BENCH_links.json"
-    ./target/release/bench_check \
-        --baseline results/BENCH_links.json \
-        --fresh target/bench/BENCH_links.json
-    echo "-- bench_check BENCH_mushroom.json"
+    bench_check_file BENCH_neighbors.json --floor 0.35
+    bench_check_file BENCH_links.json
     # The only baseline whose fit runs the labeling phase. Same floor
     # rationale as the scalability grid: every phase is sub-second.
-    ./target/release/bench_check \
-        --baseline results/BENCH_mushroom.json \
-        --fresh target/bench/BENCH_mushroom.json \
-        --floor 0.35
-    echo "-- bench_check BENCH_votes.json"
-    ./target/release/bench_check \
-        --baseline results/BENCH_votes.json \
-        --fresh target/bench/BENCH_votes.json
-    echo "-- bench_check BENCH_scale.json"
-    ./target/release/bench_check \
-        --baseline results/BENCH_scale.json \
-        --fresh target/bench/BENCH_scale.json
+    bench_check_file BENCH_mushroom.json --floor 0.35
+    bench_check_file BENCH_votes.json
+    bench_check_file BENCH_scale.json
     # Loopback serving throughput swings ±30% run to run on small
     # machines (the load generator and the server share the cores, so
     # scheduler noise lands directly in the rps/pps columns); the wider
     # tolerance still flags a real regression — the win of 64-line NDJSON
     # bodies over single-point requests defended here is >5× the floor.
-    echo "-- bench_check BENCH_serve.json (tolerance 0.5: shared-core loopback noise)"
-    ./target/release/bench_check \
-        --baseline results/BENCH_serve.json \
-        --fresh target/bench/BENCH_serve.json \
-        --tolerance 0.5
+    bench_check_file BENCH_serve.json --tolerance 0.5
+    if [ -n "$bench_failed" ]; then
+        echo "== bench gate: failed:$bench_failed"
+        exit 1
+    fi
+    echo "== bench gate: every file passed"
+}
+
+# Compares target/bench/FILE against results/FILE with bench_check (extra
+# arguments pass through) and appends FILE to $bench_failed on failure.
+bench_check_file() {
+    file="$1"
+    shift
+    echo "-- bench_check $file"
+    if ! ./target/release/bench_check \
+        --baseline "results/$file" \
+        --fresh "target/bench/$file" "$@"; then
+        bench_failed="$bench_failed $file"
+    fi
 }
 
 # Full-run gate order. `bench` is deliberately absent: wall-time
