@@ -214,7 +214,7 @@ fn sampled_fit_labels_the_rest_and_counts_it() {
 
 #[test]
 fn traced_fit_emits_a_deterministic_canonical_stream() {
-    use rock::core::telemetry::trace::{validate, TraceRecord, TRACE_SCHEMA};
+    use rock::core::telemetry::trace::{validate, PayloadValue, TraceRecord, TRACE_SCHEMA};
 
     // Same 40-point dataset as above: `Fixed(12)` guarantees a labeling
     // pass, and a 12-point sample keeps every stage on one worker, so
@@ -261,6 +261,30 @@ fn traced_fit_emits_a_deterministic_canonical_stream() {
                 record
             })
             .collect();
+
+        // The merge loop's counts, exactly: 12 sampled points merge down
+        // to 2 in one batch. A drift in the engine's bookkeeping that
+        // leaves the merge order alone (compaction timing, say) still
+        // moves these.
+        let fields = ["merges", "repairs", "replaced", "rescans", "dropped"];
+        let batches: Vec<Vec<f64>> = records
+            .iter()
+            .filter_map(|r| match r {
+                TraceRecord::Span(s) if s.name == "agglomerate.batch" => Some(
+                    fields
+                        .iter()
+                        .map(|key| match s.payload.iter().find(|(k, _)| k == key) {
+                            Some((_, PayloadValue::Num(x))) => *x,
+                            other => panic!("batch field {key}: {other:?}"),
+                        })
+                        .collect(),
+                ),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batches, vec![vec![10.0, 21.0, 21.0, 0.0, 0.0]]);
+        let c = observer.counters().snapshot();
+        assert_eq!((c.heap_pushes, c.heap_pops), (150, 121));
 
         // Worker spans nest under their phase scope: every non-"phase"
         // span's parent must be the id of a "phase" span, and phase
