@@ -11,12 +11,16 @@
 //! Goodness is never stored: a row keeps only counts, and every goodness
 //! is computed where a heap key is made, as `merge_goodness(count, own
 //! size, partner size)`. The constant factor is kept small in four ways:
-//! * Link rows are hash maps under a one-multiply slot-id hasher, so a
-//!   row update is one integer hash, never SipHash.
-//! * The engine is built one slot at a time: the upper-triangle link
-//!   table is transposed once, so each slot's row and heap are filled
-//!   from its partners in ascending id order, without scattering every
-//!   link over two slots' tables.
+//! * Link rows are plain vectors that a partner repair never touches. An
+//!   entry may name a retired slot, which stands for the cluster it
+//!   merged into: a union-find over the slots (path halving) maps it
+//!   there, and the counts of several entries for one cluster sum. A row
+//!   is *resolved* (entries mapped, dead slots dropped, counts summed in
+//!   a dense scratch row) only where it is read: when its slot merges,
+//!   rebuilds its heap, or is pruned. Each slot keeps the exact count of
+//!   its live partners, so nothing else needs the row.
+//! * The engine is built by counting each slot's degree and scattering
+//!   the upper-triangle link table into rows of exact capacity.
 //! * Local heaps are *lazy*: a partner repair adds the new key and
 //!   leaves the old one in place. A key records its partner's size and
 //!   is live while the partner still has that size (a live cluster only
@@ -26,8 +30,8 @@
 //!   heap. A repair whose best pointed at `u` or `v` drops that stale
 //!   best at once: the merged key replaces it in `O(1)` if it wins, and
 //!   only if it lost does the repair rescan. A heap is rebuilt from its
-//!   row once it holds more than twice the row's keys. The kept
-//!   cluster's heap is heapified from its merged row in `O(row)`.
+//!   row once it holds more than twice its slot's live partners. The
+//!   kept cluster's heap is heapified from its merged row in `O(row)`.
 //! * The global heap is an [`IndexedHeap`] over the dense slot ids.
 //!
 //! The merge order is a pure function of the strict [`GoodnessKey`]
@@ -44,8 +48,7 @@
 //! singletons or tiny groups that stop participating in merges early.
 
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::BinaryHeap;
 
 use crate::cast;
 use crate::contracts;
@@ -389,61 +392,26 @@ pub fn agglomerate_guarded(
     Ok((agg, trip))
 }
 
-/// Multiplier of [`SlotHasher`]: 2⁶⁴ divided by the golden ratio, rounded
-/// to odd (Fibonacci hashing).
-const SLOT_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Link row of one slot: `(partner, count)` entries. A partner may be a
+/// retired slot, standing for the cluster [`find`] maps it to, and
+/// several entries may stand for one cluster: their counts sum.
+type Row = Vec<(u32, u64)>;
 
-/// Hasher for the `u32` slot ids that key the link rows: one multiply per
-/// id. Slot ids are the dense integers `0..n`, so a multiplicative hash
-/// spreads them over the table's buckets (the low bits are a bijection
-/// of the id's low bits) while the top bits stay well mixed for the
-/// table's tag bytes. Unlike the std default it has no per-process seed,
-/// so row iteration order is the same on every run.
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotHasher(u64);
-
-impl std::hash::Hasher for SlotHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(SLOT_HASH_MUL);
+/// The slot that `slot` stands for: the root of its `parent` chain (a
+/// retired slot points at the slot it merged into, every other slot at
+/// itself). Halves the path on the way.
+fn find(parent: &mut [u32], mut slot: u32) -> u32 {
+    // Bounded: a chain holds each slot at most once.
+    for _ in 0..parent.len() {
+        let up = parent[cast::u32_to_usize(slot)];
+        if up == slot {
+            break;
         }
+        let grand = parent[cast::u32_to_usize(up)];
+        parent[cast::u32_to_usize(slot)] = grand;
+        slot = grand;
     }
-
-    #[inline]
-    fn write_u32(&mut self, id: u32) {
-        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(SLOT_HASH_MUL);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Cross-link row of one slot: partner slot → cross-link count.
-type Row = HashMap<u32, u64, BuildHasherDefault<SlotHasher>>;
-
-/// The lower triangle of `links`, slot by slot: `(start, below)` where
-/// slot `j`'s partners `i < j` are `below[start[j]..start[j + 1]]` as
-/// `(i, link)`, ascending in `i`. 8 bytes per link entry.
-fn transpose(links: &LinkTable) -> (Vec<usize>, Vec<(u32, u32)>) {
-    let mut start = vec![0usize; links.len() + 1];
-    for (_, j, _) in links.iter() {
-        start[cast::u32_to_usize(j)] += 1;
-    }
-    let mut total = 0;
-    for s in &mut start {
-        total += std::mem::replace(s, total);
-    }
-    let mut below = vec![(0, 0); total];
-    let mut next = start.clone();
-    for (i, j, c) in links.iter() {
-        let at = &mut next[cast::u32_to_usize(j)];
-        below[*at] = (i, c);
-        *at += 1;
-    }
-    (start, below)
+    slot
 }
 
 /// A local-heap key: the goodness of merging with `partner`, seen from
@@ -572,8 +540,17 @@ struct Engine<'a> {
     /// Member lists per slot; empty = inactive slot. A slot's size is
     /// what its partners' local keys are validated against.
     members: Vec<Vec<u32>>,
-    /// Cross-link rows per slot. Symmetric in partners and counts.
+    /// Link rows per slot. A repair never touches them; resolved, they
+    /// are symmetric in partners and counts.
     rows: Vec<Row>,
+    /// Union-find over the slots, read by [`find`]: a retired slot points
+    /// at the slot it merged into.
+    parent: Vec<u32>,
+    /// Live partners per slot, exactly: the length of its resolved row.
+    live_partners: Vec<usize>,
+    /// Dense count accumulator for resolving a row, all zero between
+    /// resolutions.
+    scratch: Vec<u64>,
     /// Internal (within-cluster) ordered link counts per slot.
     internal: Vec<u64>,
     /// Lazy local heaps, one per slot.
@@ -596,31 +573,32 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
         let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
-        // Slot s's partners in ascending id order: those below it, then
-        // its upper-triangle row. Every row and key vector is sized
-        // exactly, then filled one slot after another in that order,
-        // which is the order a fill from the link table in pair order
-        // gives each slot, so every row's hash layout is the same. All
-        // rows are allocated before all key vectors: allocating each
-        // slot's pair together measured a higher peak RSS.
-        let (start, below) = transpose(links);
-        let partners = |s: usize| below[start[s]..start[s + 1]].iter().chain(links.row(s));
-        let degree = |s: usize| start[s + 1] - start[s] + links.row(s).len();
-        let mut rows: Vec<Row> = (0..n)
-            .map(|s| Row::with_capacity_and_hasher(degree(s), BuildHasherDefault::default()))
+        // Each slot's row is sized to its degree and filled by scattering
+        // the link table. All rows are allocated before all key vectors:
+        // allocating each slot's pair together measured a higher peak RSS.
+        let mut live_partners = vec![0usize; n];
+        for (i, j, _) in links.iter() {
+            live_partners[cast::u32_to_usize(i)] += 1;
+            live_partners[cast::u32_to_usize(j)] += 1;
+        }
+        let mut rows: Vec<Row> = live_partners
+            .iter()
+            .map(|&d| Row::with_capacity(d))
             .collect();
-        let keys: Vec<Vec<LocalKey>> = (0..n).map(|s| Vec::with_capacity(degree(s))).collect();
+        for (i, j, c) in links.iter() {
+            rows[cast::u32_to_usize(i)].push((j, u64::from(c)));
+            rows[cast::u32_to_usize(j)].push((i, u64::from(c)));
+        }
         let mut global = IndexedHeap::with_capacity(n);
         let mut local = Vec::with_capacity(n);
         let mut local_pushes = 0;
-        for (s, (row, mut k)) in rows.iter_mut().zip(keys).enumerate() {
-            for &(p, c) in partners(s) {
-                let count = u64::from(c);
-                row.insert(p, count);
-                k.push(LocalKey::new(goodness, count, 1, p, 1));
-            }
-            local_pushes += cast::usize_to_u64(k.len());
-            let heap = LocalHeap::from_keys(k);
+        for (s, row) in rows.iter().enumerate() {
+            let keys: Vec<LocalKey> = row
+                .iter()
+                .map(|&(p, count)| LocalKey::new(goodness, count, 1, p, 1))
+                .collect();
+            local_pushes += cast::usize_to_u64(keys.len());
+            let heap = LocalHeap::from_keys(keys);
             if let Some(best) = heap.best {
                 let su = cast::usize_to_u32(s);
                 global.insert_or_update(su, GoodnessKey::new(best.goodness(), su));
@@ -631,6 +609,9 @@ impl<'a> Engine<'a> {
             goodness,
             members,
             rows,
+            parent: (0..cast::usize_to_u32(n)).collect(),
+            live_partners,
+            scratch: vec![0; n],
             internal: vec![0; n],
             local,
             global,
@@ -652,6 +633,42 @@ impl<'a> Engine<'a> {
     #[inline]
     fn size(&self, slot: u32) -> usize {
         self.members[cast::u32_to_usize(slot)].len()
+    }
+
+    /// Maps `row`'s entries to the clusters they stand for, drops dead
+    /// ones and keeps the first entry of each cluster, whose count is
+    /// summed into `scratch` and not yet written back (see
+    /// [`Engine::drain`]).
+    fn gather(&mut self, row: &mut Row) {
+        let (parent, members, scratch) = (&mut self.parent, &self.members, &mut self.scratch);
+        row.retain_mut(|(y, count)| {
+            let r = find(parent, *y);
+            let ri = cast::u32_to_usize(r);
+            if members[ri].is_empty() {
+                return false;
+            }
+            let first = scratch[ri] == 0;
+            scratch[ri] += *count;
+            *y = r;
+            first
+        });
+    }
+
+    /// Writes the counts summed in `scratch` back into `row`, drops the
+    /// entries left without one, and clears `scratch`.
+    fn drain(&mut self, row: &mut Row) {
+        let scratch = &mut self.scratch;
+        row.retain_mut(|(r, count)| {
+            *count = std::mem::take(&mut scratch[cast::u32_to_usize(*r)]);
+            *count > 0
+        });
+    }
+
+    /// Resolves `row`: one entry per live cluster it links to, with the
+    /// summed count.
+    fn resolve(&mut self, row: &mut Row) {
+        self.gather(row);
+        self.drain(row);
     }
 
     /// Goodness of the best available merge, if any.
@@ -697,8 +714,31 @@ impl<'a> Engine<'a> {
         debug_assert_ne!(u, v);
         let (ui, vi) = (cast::u32_to_usize(u), cast::u32_to_usize(v));
         let (nu, nv) = (self.size(u), self.size(v));
+
+        // The merged row: v's row resolved, added to u's. The cross links
+        // are u's entries that resolve to v; a partner of both loses one
+        // live partner.
+        let mut side = std::mem::take(&mut self.rows[vi]);
+        self.resolve(&mut side);
         let mut row = std::mem::take(&mut self.rows[ui]);
-        let cross = row.remove(&v).unwrap_or(0);
+        self.gather(&mut row);
+        let cross = std::mem::take(&mut self.scratch[vi]);
+        row.reserve_exact(side.len());
+        for &(x, count) in &side {
+            let xi = cast::u32_to_usize(x);
+            if x == u {
+                continue;
+            }
+            if self.scratch[xi] == 0 {
+                row.push((x, 0));
+            } else {
+                self.live_partners[xi] -= 1;
+            }
+            self.scratch[xi] += count;
+        }
+        self.drain(&mut row);
+        self.live_partners[ui] = row.len();
+        self.live_partners[vi] = 0;
 
         // Fold members and internal links: from here on u has size
         // nu + nv and v size 0, so every key made for either is stale.
@@ -707,14 +747,9 @@ impl<'a> Engine<'a> {
         self.internal[ui] += self.internal[vi] + 2 * cross;
         self.internal[vi] = 0;
 
-        // Fold v's row into u's (integer sums: order-insensitive).
-        for (x, count) in std::mem::take(&mut self.rows[vi]) {
-            if x != u {
-                *row.entry(x).or_insert(0) += count;
-            }
-        }
-
-        // Retire v.
+        // Retire v: before any partner's repair can resolve its row, v
+        // stands for u.
+        self.parent[vi] = u;
         let retired = std::mem::take(&mut self.local[vi]);
         self.local_pops += cast::usize_to_u64(retired.len());
         self.global.remove(v);
@@ -723,19 +758,19 @@ impl<'a> Engine<'a> {
         // each with its own size first: u's side is merge_goodness(c, nw,
         // nx), x's side merge_goodness(c, nx, nw), and their last bits can
         // differ. u's own heap is rebuilt, since its size changed. Each
-        // partner's repair touches only its own row and heap, so the
-        // row's order does not matter.
+        // partner's repair touches only its own heap, so the row's order
+        // does not matter.
         let nw = nu + nv;
         let old = std::mem::take(&mut self.local[ui]);
         self.local_pops += cast::usize_to_u64(old.len());
         let old_best = old.best;
         let mut keys = old.keys.into_vec();
         keys.clear();
-        for (&x, &count) in &row {
+        for &(x, count) in &row {
             let nx = self.size(x);
             keys.push(LocalKey::new(self.goodness, count, nw, x, nx));
             let x_side = LocalKey::new(self.goodness, count, nx, u, nw);
-            self.repair(x, v, count, x_side);
+            self.repair(x, v, x_side);
         }
         self.local_pushes += cast::usize_to_u64(keys.len());
         self.local[ui] = LocalHeap::from_keys(keys);
@@ -756,18 +791,14 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Partner `x` of a merge of `v` into `u = key.partner()`: its row
-    /// loses `v` and holds the merged cluster under `u` with `count`, and
-    /// its heap gets `key`. A cached best for `u` or `v` is stale and is
-    /// dropped at once: `key` replaces it if it wins, and a rescan runs
-    /// only if it lost. A live best stays unless `key` beats it, and is
-    /// then pushed into the heap.
-    fn repair(&mut self, x: u32, v: u32, count: u64, key: LocalKey) {
+    /// Partner `x` of a merge of `v` into `u = key.partner()`: its heap
+    /// gets `key`, and its row stays as it is. A cached best for `u` or
+    /// `v` is stale and is dropped at once: `key` replaces it if it wins,
+    /// and a rescan runs only if it lost. A live best stays unless `key`
+    /// beats it, and is then pushed into the heap.
+    fn repair(&mut self, x: u32, v: u32, key: LocalKey) {
         let xi = cast::u32_to_usize(x);
         let u = key.partner();
-        let row = &mut self.rows[xi];
-        row.remove(&v);
-        row.insert(u, count);
         let heap = &mut self.local[xi];
         self.local_pushes += 1;
         self.tally.repairs += 1;
@@ -795,38 +826,38 @@ impl<'a> Engine<'a> {
         self.settle(x, old_best);
     }
 
-    /// Ends a change to slot `x`'s heap: rebuilds it from the row once
-    /// the binary heap holds more than twice the row's keys (stale keys
-    /// then outnumber live ones), which bounds it at about twice the row
-    /// (every old key popped, every live key re-pushed), then publishes
-    /// the best.
+    /// Ends a change to slot `x`'s heap: rebuilds it from the resolved
+    /// row once the binary heap holds more than twice the slot's live
+    /// partners (stale keys then outnumber live ones), which bounds it at
+    /// about twice the row (every old key popped, every live key
+    /// re-pushed), then publishes the best.
     fn settle(&mut self, x: u32, old_best: Option<LocalKey>) {
         let xi = cast::u32_to_usize(x);
-        let (row, heap) = (&self.rows[xi], &mut self.local[xi]);
-        if heap.keys.len() > 2 * row.len() {
+        if self.local[xi].keys.len() > 2 * self.live_partners[xi] {
+            let mut row = std::mem::take(&mut self.rows[xi]);
+            self.resolve(&mut row);
+            debug_assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
+            let heap = &mut self.local[xi];
             self.local_pops += cast::usize_to_u64(heap.len());
             self.local_pushes += cast::usize_to_u64(row.len());
             let own = self.members[xi].len();
             let mut keys = std::mem::take(&mut heap.keys).into_vec();
             keys.clear();
-            // Hash order is fine: the heap orders keys by the strict LocalKey total order.
-            keys.extend(row.iter().map(|(&y, &count)| {
+            keys.extend(row.iter().map(|&(y, count)| {
                 let ny = self.members[cast::u32_to_usize(y)].len();
                 LocalKey::new(self.goodness, count, own, y, ny)
             }));
             *heap = LocalHeap::from_keys(keys);
+            self.rows[xi] = row;
         }
         self.publish(x, old_best);
     }
 
-    /// Partner `x` of a pruned slot `s` (now of size 0) drops it from its
-    /// row; its keys for `s` are stale.
+    /// Live partner `x` of a pruned slot `s` (now of size 0) loses it; its
+    /// keys for `s` are stale.
     fn drop_partner(&mut self, x: u32, s: u32) {
         let xi = cast::u32_to_usize(x);
-        let row = &mut self.rows[xi];
-        if row.remove(&s).is_none() {
-            return; // x itself was pruned earlier in this pass
-        }
+        self.live_partners[xi] -= 1;
         let heap = &mut self.local[xi];
         let old_best = heap.best;
         if old_best.is_some_and(|b| b.partner() == s) {
@@ -855,8 +886,12 @@ impl<'a> Engine<'a> {
             let retired = std::mem::take(&mut self.local[si]);
             self.local_pops += cast::usize_to_u64(retired.len());
             self.global.remove(s);
-            // Each partner drops s independently: order-insensitive.
-            for (x, _) in std::mem::take(&mut self.rows[si]) {
+            // s's row resolved is its live partners (victims pruned
+            // earlier in this pass are dead); each drops s on its own.
+            let mut row = std::mem::take(&mut self.rows[si]);
+            self.resolve(&mut row);
+            self.live_partners[si] = 0;
+            for (x, _) in row {
                 self.drop_partner(x, s);
             }
             self.active -= 1;
@@ -865,7 +900,7 @@ impl<'a> Engine<'a> {
 
     /// Estimated bytes of the merge state that scales with the links:
     /// the global heap, every local heap and every link row (entries at
-    /// capacity, plus one control byte per row entry).
+    /// capacity).
     fn heap_bytes(&self) -> usize {
         let keys: usize = self.local.iter().map(|h| h.keys.capacity()).sum();
         let entries: usize = self.rows.iter().map(Row::capacity).sum();
@@ -873,7 +908,7 @@ impl<'a> Engine<'a> {
             + self.local.capacity() * std::mem::size_of::<LocalHeap>()
             + self.rows.capacity() * std::mem::size_of::<Row>()
             + keys * std::mem::size_of::<LocalKey>()
-            + entries * (std::mem::size_of::<(u32, u64)>() + 1)
+            + entries * std::mem::size_of::<(u32, u64)>()
     }
 
     /// Flushes the run's tallies into `observer`: merges, pruned points,
@@ -901,22 +936,45 @@ impl<'a> Engine<'a> {
         criterion(self.goodness, &self.members, &self.internal)
     }
 
-    /// Checks the lazy-heap invariants against a full recomputation:
-    /// rows are symmetric in partners and counts, a slot's live keys (the
-    /// heap's live keys plus `best`) are exactly the keys its row makes
-    /// now, each held once, `best` is the greatest of them, and the global
-    /// heap holds exactly the slots with a best, keyed by its goodness.
-    /// Test helper; `O(links)` per call.
+    /// Slot `s`'s row resolved by plain chain walks, without touching the
+    /// engine: partner cluster → summed count. Test helper.
+    #[cfg(test)]
+    fn resolved(&self, s: usize) -> std::collections::BTreeMap<u32, u64> {
+        let mut out = std::collections::BTreeMap::new();
+        for &(mut y, count) in &self.rows[s] {
+            while self.parent[cast::u32_to_usize(y)] != y {
+                y = self.parent[cast::u32_to_usize(y)];
+            }
+            if self.size(y) > 0 {
+                *out.entry(y).or_insert(0) += count;
+            }
+        }
+        out
+    }
+
+    /// Checks the lazy-heap invariants against a full recomputation: the
+    /// scratch row is clean, resolved rows are symmetric in partners and
+    /// counts and as long as the slot's live-partner count, a slot's live
+    /// keys (the heap's live keys plus `best`) are exactly the keys its
+    /// resolved row makes now, each held once, `best` is the greatest of
+    /// them, and the global heap holds exactly the slots with a best,
+    /// keyed by its goodness. Test helper; `O(links)` per call.
     #[cfg(test)]
     fn assert_invariants(&self) {
         self.global.assert_invariants();
-        for (xi, row) in self.rows.iter().enumerate() {
+        assert!(
+            self.scratch.iter().all(|&c| c == 0),
+            "scratch row not clean"
+        );
+        let resolved: Vec<_> = (0..self.rows.len()).map(|s| self.resolved(s)).collect();
+        for (xi, row) in resolved.iter().enumerate() {
             let x = cast::usize_to_u32(xi);
             let heap = &self.local[xi];
-            assert!(
-                row.is_empty() || !self.members[xi].is_empty(),
-                "retired slot {x} has links"
-            );
+            if self.members[xi].is_empty() {
+                assert!(self.rows[xi].is_empty(), "retired slot {x} has links");
+            }
+            assert!(!row.contains_key(&x), "slot {x} links to itself");
+            assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
             let own = self.members[xi].len();
             let mut live: Vec<LocalKey> = heap
                 .keys
@@ -926,7 +984,6 @@ impl<'a> Engine<'a> {
                 .filter(|k| k.is_live(&self.members))
                 .collect();
             live.sort_unstable();
-            // Hash order is fine: both sides are sorted before comparing.
             let mut fresh: Vec<LocalKey> = row
                 .iter()
                 .map(|(&y, &c)| LocalKey::new(self.goodness, c, own, y, self.size(y)))
@@ -945,7 +1002,7 @@ impl<'a> Engine<'a> {
                 "slot {x}: global entry out of sync"
             );
             for (&y, count) in row {
-                let back = self.rows[cast::u32_to_usize(y)].get(&x);
+                let back = resolved[cast::u32_to_usize(y)].get(&x);
                 assert_eq!(back, Some(count), "rows {x}/{y} asymmetric");
             }
         }
@@ -1748,6 +1805,62 @@ mod tests {
         assert_eq!(got.clusters.len(), 2);
         assert!(!got.reached_k);
         check_against_oracle(14, &links, &good, "emptied rows grid");
+    }
+
+    #[test]
+    fn stale_rows_resolve_through_retired_chains_and_pruned_absorbers() {
+        // 6 merges into 0 and 5 into 4 (count 20, ties to the smaller
+        // slot), then 2 into 1 (10), then {1, 2} into {0, 6} (12 at sizes
+        // 2 and 2). Slot 3 links only to 2 and is never resolved on the
+        // way, so its row names 2, which stands for 0 through the retired
+        // 1. The checkpoint then prunes 3 and {4, 5}, whose row also names
+        // 2, and leaves 0 without partners.
+        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 7];
+        rows[0] = vec![(1, 6), (2, 6), (6, 20)];
+        rows[1] = vec![(2, 10)];
+        rows[2] = vec![(3, 1), (5, 1)];
+        rows[4] = vec![(5, 20)];
+        let links = LinkTable::from_upper_rows(rows);
+        let good = Goodness::new(0.5, &MarketBasket).unwrap();
+
+        let mut engine = Engine::new(7, &links, &good, true);
+        engine.assert_invariants();
+        for _ in 0..4 {
+            engine.merge_best().unwrap();
+            engine.assert_invariants();
+        }
+        let order: Vec<(u32, u32)> = engine
+            .history
+            .iter()
+            .map(|m| (m.kept, m.absorbed))
+            .collect();
+        assert_eq!(order, [(0, 6), (4, 5), (1, 2), (0, 1)]);
+        assert_eq!(engine.rows[3], [(2, 1)]);
+        assert_eq!(engine.rows[4], [(2, 1)]);
+        assert_eq!((engine.parent[2], engine.parent[1]), (1, 0));
+        engine.prune_small(2);
+        engine.assert_invariants();
+        assert_eq!(engine.outliers, [3, 4, 5]);
+        assert!(engine.global.is_empty());
+
+        let cfg = AgglomerateConfig {
+            k: 1,
+            // Fires at ceil(0.4 · 7) = 3 clusters: {0, 1, 2, 6}, 3, {4, 5}.
+            prune: Some(PruneConfig {
+                checkpoint_fraction: 0.4,
+                max_prune_size: 2,
+            }),
+            record_history: true,
+            min_goodness: None,
+        };
+        let got = agglomerate(7, &links, &good, &cfg).unwrap();
+        assert_same(
+            &got,
+            &oracle::run(7, &links, &good, &cfg, None),
+            "stale rows",
+        );
+        assert_eq!(got.outliers, [3, 4, 5]);
+        assert!(check_against_oracle(7, &links, &good, "stale rows grid") > 0);
     }
 
     #[test]
