@@ -92,6 +92,13 @@ gate_tier1() {
     cargo test --offline -q --test pipeline --test proptests --test extensions \
         --test telemetry --test snapshot --test neighbors_join --test reference
     cargo test --offline -q -p rock-analyze --test fixtures
+    # The merge engine's row bookkeeping is also checked by debug
+    # assertions, which a release build drops, and release arithmetic
+    # wraps: its unit tests run once more in release.
+    if [ "$quick" -eq 0 ]; then
+        echo "== merge engine unit tests (release)"
+        cargo test --offline --release -q -p rock-core --lib agglomerate
+    fi
 }
 
 gate_chaos() {
