@@ -723,12 +723,13 @@ impl<'a> Engine<'a> {
         let mut row = std::mem::take(&mut self.rows[ui]);
         self.gather(&mut row);
         let cross = std::mem::take(&mut self.scratch[vi]);
+        // Exact, so a merge never grows the rows' total capacity.
         row.reserve_exact(side.len());
         for &(x, count) in &side {
-            let xi = cast::u32_to_usize(x);
             if x == u {
                 continue;
             }
+            let xi = cast::u32_to_usize(x);
             if self.scratch[xi] == 0 {
                 row.push((x, 0));
             } else {
