@@ -43,8 +43,9 @@ use rock_core::telemetry::json::Json;
 const DEFAULT_TOLERANCE: f64 = 0.25;
 /// Absolute wall-clock floor in seconds; bands never shrink below this.
 const DEFAULT_FLOOR_SECS: f64 = 0.075;
-/// Absolute memory floor in bytes (1 MiB): covers hash-map capacity
-/// jumps on structures too small for the relative band to matter.
+/// Absolute memory floor in bytes (1 MiB): covers capacity jumps (a
+/// vector doubling) on structures too small for the relative band to
+/// matter.
 const DEFAULT_FLOOR_BYTES: f64 = 1_048_576.0;
 /// Absolute latency floor in milliseconds: one log2-histogram bucket on
 /// a sub-millisecond percentile doubles the estimate, so sub-floor
