@@ -716,8 +716,9 @@ impl<'a> Engine<'a> {
         let (nu, nv) = (self.size(u), self.size(v));
 
         // The merged row: v's row resolved, added to u's. The cross links
-        // are u's entries that resolve to v; a partner of both loses one
-        // live partner.
+        // are u's entries that resolve to v; taking their count leaves
+        // v's entry empty, so the drain drops it. A partner of both loses
+        // one live partner.
         let mut side = std::mem::take(&mut self.rows[vi]);
         self.resolve(&mut side);
         let mut row = std::mem::take(&mut self.rows[ui]);
