@@ -91,6 +91,22 @@ mod tests {
     }
 
     #[test]
+    fn equal_sized_components_order_by_smallest_member() {
+        // {0, 3} and {1, 2} tie at two points: {0, 3} holds the smallest
+        // member, though {1, 2} holds the smaller largest member.
+        let g = graph(
+            vec![
+                Transaction::new([0, 1]),
+                Transaction::new([9, 10]),
+                Transaction::new([9, 10]),
+                Transaction::new([0, 1]),
+            ],
+            0.9,
+        );
+        assert_eq!(connected_components(&g), vec![vec![0, 3], vec![1, 2]]);
+    }
+
+    #[test]
     fn chains_connect_transitively() {
         // a~b and b~c but a!~c: all one component.
         let g = graph(

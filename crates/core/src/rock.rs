@@ -868,6 +868,32 @@ mod tests {
     }
 
     #[test]
+    fn sampled_fit_orders_clusters_by_their_labeled_size() {
+        // Blocks of 20 and 22 points, clustered from 16-point samples:
+        // a sample that holds more of the smaller block still puts the
+        // larger block first once every point is labeled.
+        let (data, _) = blocks(&[20, 22], 6);
+        let mut smaller_block_led = false;
+        for seed in 0..8 {
+            let model = RockBuilder::new(2, 0.5)
+                .sample(SampleStrategy::Fixed(16))
+                .seed(seed)
+                .build()
+                .fit(&data)
+                .unwrap();
+            let from_smaller = model.sample_indices().iter().filter(|&&i| i < 20).count();
+            smaller_block_led |= 2 * from_smaller > model.sample_indices().len();
+            assert_eq!(model.cluster_sizes(), vec![22, 20], "seed {seed}");
+            assert_eq!(model.clusters()[0][0], 20, "seed {seed}");
+            assert_eq!(model.assignments()[0], Some(ClusterId(1)), "seed {seed}");
+        }
+        assert!(
+            smaller_block_led,
+            "no sample held more of the smaller block"
+        );
+    }
+
+    #[test]
     fn chernoff_strategy_runs() {
         let (data, _) = blocks(&[50, 50], 6);
         let model = RockBuilder::new(2, 0.5)
