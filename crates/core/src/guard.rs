@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::error::RockError;
 use crate::telemetry::{json::JsonObj, Observer, Phase};
 
 /// How often the merge loop consults the wall clock: checking
@@ -211,6 +212,22 @@ pub struct Trip {
     pub reason: TripReason,
     /// The phase the pipeline had reached when it tripped.
     pub phase: Phase,
+}
+
+/// The error for a trip that the caller asked to fail on, not degrade:
+/// [`RockError::Cancelled`] for a cancellation, and
+/// [`RockError::BudgetExhausted`] with the reason's and the phase's names
+/// for any other trip. Both exit with code 6.
+impl From<Trip> for RockError {
+    fn from(trip: Trip) -> Self {
+        match trip.reason {
+            TripReason::Cancelled => RockError::Cancelled,
+            reason => RockError::BudgetExhausted {
+                reason: reason.name().to_owned(),
+                phase: trip.phase.name().to_owned(),
+            },
+        }
+    }
 }
 
 /// Machine-readable report of a degraded run, embedded in the
@@ -572,6 +589,38 @@ mod tests {
             "memory-budget"
         );
         assert_eq!(TripReason::Injected.name(), "injected");
+    }
+
+    #[test]
+    fn a_trip_maps_to_cancelled_or_budget_exhausted() {
+        let trip = |reason| Trip {
+            reason,
+            phase: Phase::Labeling,
+        };
+        assert_eq!(
+            RockError::from(trip(TripReason::Cancelled)),
+            RockError::Cancelled
+        );
+        for reason in [
+            TripReason::StepBudget { limit: 1 },
+            TripReason::Deadline { limit_secs: 1.0 },
+            TripReason::MemoryBudget {
+                limit_bytes: 1,
+                observed_bytes: 2,
+            },
+            TripReason::Injected,
+        ] {
+            let err = RockError::from(trip(reason));
+            assert_eq!(
+                err,
+                RockError::BudgetExhausted {
+                    reason: reason.name().to_owned(),
+                    phase: "labeling".to_owned(),
+                }
+            );
+            assert_eq!(err.exit_code(), 6);
+        }
+        assert_eq!(RockError::Cancelled.exit_code(), 6);
     }
 
     #[test]

@@ -546,12 +546,9 @@ impl<'a> StreamLabeler<'a> {
             // Finalize runs after the guard already allowed the last
             // chunk (or on the degrade path, after a trip was recorded):
             // a trip here still leaves the durable partial+checkpoint,
-            // so surface it as a budget error rather than lose the
+            // so surface it as the trip's error rather than lose the
             // distinction.
-            RetryOutcome::Tripped(trip) => Err(RockError::BudgetExhausted {
-                reason: trip.reason.name().to_owned(),
-                phase: trip.phase.name().to_owned(),
-            }),
+            RetryOutcome::Tripped(trip) => Err(trip.into()),
         }
     }
 

@@ -682,13 +682,11 @@ fn run(opts: &Options) -> Result<(), RockError> {
                 eprintln!("accepting partial partition (--on-error recover)");
             }
             OnError::Fail => {
-                return Err(match d.reason {
-                    TripReason::Cancelled => RockError::Cancelled,
-                    _ => RockError::BudgetExhausted {
-                        reason: d.reason.name().to_owned(),
-                        phase: d.phase.name().to_owned(),
-                    },
-                });
+                return Err(Trip {
+                    reason: d.reason,
+                    phase: d.phase,
+                }
+                .into());
             }
         }
     }
@@ -841,13 +839,11 @@ fn run_label_stream(opts: &LabelOptions, snapshot: &ModelSnapshot) -> Result<(),
                     output.display()
                 );
             }
-            Err(match degradation.reason {
-                TripReason::Cancelled => RockError::Cancelled,
-                _ => RockError::BudgetExhausted {
-                    reason: degradation.reason.name().to_owned(),
-                    phase: degradation.phase.name().to_owned(),
-                },
-            })
+            Err(Trip {
+                reason: degradation.reason,
+                phase: degradation.phase,
+            }
+            .into())
         }
         StreamOutcome::Paused(stats) => {
             // Unreachable from the CLI (no chunk cap is set), but keep the
