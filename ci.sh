@@ -88,10 +88,10 @@ gate_tier1() {
     fi
     cargo test --offline --workspace --exclude rock-serve -q --lib --bins
     cargo test --offline --workspace --exclude rock-serve -q --doc
-    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, reference, analyzer fixtures)"
+    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, reference, analyzer fixtures and lexer edge cases)"
     cargo test --offline -q --test pipeline --test proptests --test extensions \
         --test telemetry --test snapshot --test neighbors_join --test reference
-    cargo test --offline -q -p rock-analyze --test fixtures
+    cargo test --offline -q -p rock-analyze --test fixtures --test lexer_edge
     # The merge engine's row bookkeeping is also checked by debug
     # assertions, which a release build drops, and release arithmetic
     # wraps: its unit tests run once more in release.
