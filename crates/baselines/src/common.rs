@@ -1,5 +1,6 @@
 //! Shared result types for baseline algorithms.
 
+use rock_core::agglomerate::partition;
 use rock_core::error::{Result, RockError};
 
 /// A flat clustering: every point is assigned to exactly one of `k`
@@ -18,19 +19,10 @@ pub struct FlatClustering {
 }
 
 impl FlatClustering {
-    /// Member lists per cluster, ordered by decreasing size.
+    /// Member lists per non-empty cluster, in [`partition`]'s order:
+    /// decreasing size, ties by smallest member.
     pub fn clusters(&self) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.k];
-        for (i, &c) in self.assignments.iter().enumerate() {
-            out[c as usize].push(i as u32);
-        }
-        out.sort_by(|a, b| {
-            b.len()
-                .cmp(&a.len())
-                .then_with(|| a.first().cmp(&b.first()))
-        });
-        out.retain(|c| !c.is_empty());
-        out
+        partition(&self.as_predictions()).0
     }
 
     /// Assignments as the `Option<u32>` shape the metrics module expects.

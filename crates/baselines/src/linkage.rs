@@ -17,7 +17,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rock_core::agglomerate::GoodnessOrd;
+use rock_core::agglomerate::{partition, GoodnessOrd};
 use rock_core::error::{Result, RockError};
 
 use crate::common::FlatClustering;
@@ -78,7 +78,7 @@ type PairEntry = Reverse<(GoodnessOrd, usize, usize, u32, u32)>;
 /// * [`RockError::EmptyDataset`] for `n == 0`.
 /// * [`RockError::InvalidK`] for `k` of 0 or `> n`.
 /// * [`RockError::LengthMismatch`] if `dist` is not `n × n`.
-#[allow(clippy::needless_range_loop)] // d/size/active are index-aligned
+#[allow(clippy::needless_range_loop)] // d/size/active/slot are index-aligned
 pub fn agglomerative(dist: &[f64], n: usize, k: usize, linkage: Linkage) -> Result<FlatClustering> {
     if n == 0 {
         return Err(RockError::EmptyDataset);
@@ -97,7 +97,8 @@ pub fn agglomerative(dist: &[f64], n: usize, k: usize, linkage: Linkage) -> Resu
 
     let mut d = dist.to_vec();
     let mut size: Vec<f64> = vec![1.0; n];
-    let mut members: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
+    // The slot of each point's cluster (slots and points share `0..n`).
+    let mut slot: Vec<Option<u32>> = (0..n as u32).map(Some).collect();
     let mut active: Vec<bool> = vec![true; n];
     let mut generation: Vec<u32> = vec![0; n];
     // Min-heap of (distance, i, j, gen_i, gen_j), lazily invalidated.
@@ -118,10 +119,13 @@ pub fn agglomerative(dist: &[f64], n: usize, k: usize, linkage: Linkage) -> Resu
         if !active[i] || !active[j] || generation[i] != gi || generation[j] != gj {
             continue; // stale entry
         }
-        // Merge j into i.
+        // Merge j into i; j's points move to slot i.
         let (ni, nj) = (size[i], size[j]);
         let dij = d[i * n + j];
         for x in 0..n {
+            if slot[x] == Some(j as u32) {
+                slot[x] = Some(i as u32);
+            }
             if x != i && x != j && active[x] {
                 let nd = linkage.update(d[x * n + i], d[x * n + j], dij, ni, nj, size[x]);
                 d[x * n + i] = nd;
@@ -130,8 +134,6 @@ pub fn agglomerative(dist: &[f64], n: usize, k: usize, linkage: Linkage) -> Resu
         }
         active[j] = false;
         size[i] += size[j];
-        let moved = std::mem::take(&mut members[j]);
-        members[i].extend(moved);
         generation[i] += 1;
         remaining -= 1;
         merges += 1;
@@ -151,24 +153,9 @@ pub fn agglomerative(dist: &[f64], n: usize, k: usize, linkage: Linkage) -> Resu
     }
 
     // Dense re-numbering: biggest cluster first for stable output.
-    let mut clusters: Vec<Vec<u32>> = members
-        .into_iter()
-        .zip(&active)
-        .filter(|(_, &a)| a)
-        .map(|(mut m, _)| {
-            m.sort_unstable();
-            m
-        })
-        .collect();
-    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-    let mut assignments = vec![0u32; n];
-    for (c, m) in clusters.iter().enumerate() {
-        for &p in m {
-            assignments[p as usize] = c as u32;
-        }
-    }
+    let (clusters, index) = partition(&slot);
     Ok(FlatClustering {
-        assignments,
+        assignments: index.into_iter().flatten().collect(),
         k: clusters.len(),
         cost: last_dist,
         iterations: merges,

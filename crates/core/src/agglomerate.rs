@@ -38,6 +38,12 @@
 //! order; the test-only `oracle` module, the paper's linear scan over a
 //! dense count matrix, checks the engine against it.
 //!
+//! The engine keeps no member lists: a slot holds only its cluster's size,
+//! and the union-find is the membership. At the end each point is labeled
+//! by the slot its chain ends at (none when that slot was pruned), and
+//! [`partition`] — the workspace's one rule for grouping, ordering and
+//! numbering clusters — turns the labels into the result.
+//!
 //! The loop stops when the requested number of clusters is reached or when
 //! no cross-cluster links remain (the paper's termination condition; the
 //! leftover link-free clusters cannot be merged meaningfully).
@@ -169,6 +175,23 @@ impl Default for PruneConfig {
     }
 }
 
+impl PruneConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    /// [`RockError::InvalidFraction`] when `checkpoint_fraction` is not in
+    /// `(0, 1]` (NaN included).
+    pub fn validate(&self) -> Result<()> {
+        if !(self.checkpoint_fraction > 0.0 && self.checkpoint_fraction <= 1.0) {
+            return Err(RockError::InvalidFraction {
+                name: "checkpoint_fraction",
+                value: self.checkpoint_fraction,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Configuration for [`agglomerate`].
 #[derive(Debug, Clone)]
 pub struct AgglomerateConfig {
@@ -217,7 +240,8 @@ pub struct MergeStep {
     pub criterion: f64,
 }
 
-/// Result of a run of the merge engine.
+/// Result of a run of the merge engine. `clusters` and `assignment` are
+/// [`partition`]'s two outputs over the final clusters.
 #[derive(Debug, Clone)]
 pub struct Agglomeration {
     /// For each input point, the dense output cluster index, or `None` if
@@ -239,12 +263,46 @@ pub struct Agglomeration {
     pub outliers: Vec<u32>,
 }
 
+/// Groups points `0..labels.len()` by label: the points that share a
+/// label form one cluster, and a `None` point belongs to none. Returns the
+/// clusters, each listing its members ascending, ordered by decreasing
+/// size with ties to the smallest member, and each point's index into
+/// them (`None` for an unlabeled point). Every merge result, dendrogram
+/// cut, component set and fitted model is grouped, ordered and numbered
+/// here. Labels are any ids; memory grows with the number of points plus
+/// the largest label.
+pub fn partition(labels: &[Option<u32>]) -> (Vec<Vec<u32>>, Vec<Option<u32>>) {
+    let bound = labels
+        .iter()
+        .flatten()
+        .max()
+        .map_or(0, |&l| cast::u32_to_usize(l) + 1);
+    let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); bound];
+    for (p, label) in labels.iter().enumerate() {
+        if let Some(l) = label {
+            clusters[cast::u32_to_usize(*l)].push(cast::usize_to_u32(p));
+        }
+    }
+    clusters.retain(|c| !c.is_empty());
+    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    let mut index = vec![None; labels.len()];
+    for (c, members) in clusters.iter().enumerate() {
+        for &p in members {
+            index[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
+        }
+    }
+    (clusters, index)
+}
+
 /// Runs the ROCK merge engine over `n` points with the given link table
 /// (no telemetry, no budget).
 ///
 /// # Errors
 /// * [`RockError::EmptyDataset`] when `n == 0`.
 /// * [`RockError::InvalidK`] when `k` is 0 or exceeds `n`.
+/// * [`RockError::LengthMismatch`] when `links` is not over `n` points.
+/// * [`RockError::InvalidFraction`] when the prune checkpoint fraction is
+///   not in `(0, 1]` ([`PruneConfig::validate`]).
 pub fn agglomerate(
     n: usize,
     links: &LinkTable,
@@ -290,7 +348,17 @@ pub fn agglomerate_guarded(
     if config.k == 0 || config.k > n {
         return Err(RockError::InvalidK { k: config.k, n });
     }
-    debug_assert_eq!(links.len(), n, "link table size mismatch");
+    if links.len() != n {
+        return Err(RockError::LengthMismatch {
+            left_name: "links",
+            left: links.len(),
+            right_name: "points",
+            right: n,
+        });
+    }
+    if let Some(prune) = &config.prune {
+        prune.validate()?;
+    }
 
     let mut engine = Engine::new(n, links, goodness, config.record_history);
     // Contract: the freshly built heaps are structurally sound.
@@ -339,10 +407,9 @@ pub fn agglomerate_guarded(
     while active > config.k {
         if let Some((at, max_size)) = checkpoint {
             if !pruned_at_checkpoint && active <= at {
-                engine.prune_small(max_size);
+                active -= engine.prune_small(max_size);
                 contracts::check_heap(&engine.global);
                 pruned_at_checkpoint = true;
-                active = engine.active_count();
                 if active <= config.k {
                     break;
                 }
@@ -387,6 +454,10 @@ pub fn agglomerate_guarded(
 
     engine.flush_telemetry(observer);
     let agg = engine.finish(active == config.k);
+    PipelineCounters::add(
+        &observer.counters().outliers_pruned,
+        cast::usize_to_u64(agg.outliers.len()),
+    );
     // Contract: clusters, assignment, outliers and criterion agree.
     contracts::check_agglomeration(&agg);
     Ok((agg, trip))
@@ -400,7 +471,7 @@ type Row = Vec<(u32, u64)>;
 /// The slot that `slot` stands for: the root of its `parent` chain (a
 /// retired slot points at the slot it merged into, every other slot at
 /// itself). Halves the path on the way.
-fn find(parent: &mut [u32], mut slot: u32) -> u32 {
+pub(crate) fn find(parent: &mut [u32], mut slot: u32) -> u32 {
     // Bounded: a chain holds each slot at most once.
     for _ in 0..parent.len() {
         let up = parent[cast::u32_to_usize(slot)];
@@ -448,8 +519,8 @@ impl LocalKey {
     }
 
     /// Live while the partner still has the size the key was made at.
-    fn is_live(self, members: &[Vec<u32>]) -> bool {
-        members[cast::u32_to_usize(self.partner())].len() == cast::u32_to_usize(self.size)
+    fn is_live(self, size: &[u32]) -> bool {
+        size[cast::u32_to_usize(self.partner())] == self.size
     }
 }
 
@@ -485,7 +556,7 @@ impl LocalHeap {
     /// the top while they beat `key`; a live top that beats it becomes
     /// `best`, and `key`, if any, takes its place in the heap. Returns the
     /// number of keys dropped.
-    fn rescan(&mut self, key: Option<LocalKey>, members: &[Vec<u32>]) -> u64 {
+    fn rescan(&mut self, key: Option<LocalKey>, size: &[u32]) -> u64 {
         let mut dropped = 0;
         // Bounded: each pass but the last drops one key.
         for _ in 0..=self.keys.len() {
@@ -495,7 +566,7 @@ impl LocalHeap {
             if key.is_some_and(|k| k > *top) {
                 break;
             }
-            if top.is_live(members) {
+            if top.is_live(size) {
                 self.best = Some(match key {
                     Some(k) => std::mem::replace(&mut *top, k),
                     None => PeekMut::pop(top),
@@ -537,14 +608,15 @@ impl RepairTally {
 /// Internal merge-engine state.
 struct Engine<'a> {
     goodness: &'a Goodness,
-    /// Member lists per slot; empty = inactive slot. A slot's size is
+    /// Cluster size per slot; 0 = retired or pruned. A slot's size is
     /// what its partners' local keys are validated against.
-    members: Vec<Vec<u32>>,
+    size: Vec<u32>,
     /// Link rows per slot. A repair never touches them; resolved, they
     /// are symmetric in partners and counts.
     rows: Vec<Row>,
     /// Union-find over the slots, read by [`find`]: a retired slot points
-    /// at the slot it merged into.
+    /// at the slot it merged into. It is also the membership: point `p`
+    /// is in the cluster at `p`'s root, or an outlier if that was pruned.
     parent: Vec<u32>,
     /// Live partners per slot, exactly: the length of its resolved row.
     live_partners: Vec<usize>,
@@ -566,13 +638,10 @@ struct Engine<'a> {
     history: Vec<MergeStep>,
     record_history: bool,
     merges: usize,
-    outliers: Vec<u32>,
-    active: usize,
 }
 
 impl<'a> Engine<'a> {
     fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
-        let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
         // Each slot's row is sized to its degree and filled by scattering
         // the link table. All rows are allocated before all key vectors:
         // allocating each slot's pair together measured a higher peak RSS.
@@ -607,7 +676,7 @@ impl<'a> Engine<'a> {
         }
         Engine {
             goodness,
-            members,
+            size: vec![1; n],
             rows,
             parent: (0..cast::usize_to_u32(n)).collect(),
             live_partners,
@@ -621,18 +690,12 @@ impl<'a> Engine<'a> {
             history: Vec::new(),
             record_history,
             merges: 0,
-            outliers: Vec::new(),
-            active: n,
         }
-    }
-
-    fn active_count(&self) -> usize {
-        self.active
     }
 
     #[inline]
     fn size(&self, slot: u32) -> usize {
-        self.members[cast::u32_to_usize(slot)].len()
+        cast::u32_to_usize(self.size[cast::u32_to_usize(slot)])
     }
 
     /// Maps `row`'s entries to the clusters they stand for, drops dead
@@ -640,11 +703,11 @@ impl<'a> Engine<'a> {
     /// summed into `scratch` and not yet written back (see
     /// [`Engine::drain`]).
     fn gather(&mut self, row: &mut Row) {
-        let (parent, members, scratch) = (&mut self.parent, &self.members, &mut self.scratch);
+        let (parent, size, scratch) = (&mut self.parent, &self.size, &mut self.scratch);
         row.retain_mut(|(y, count)| {
             let r = find(parent, *y);
             let ri = cast::u32_to_usize(r);
-            if members[ri].is_empty() {
+            if size[ri] == 0 {
                 return false;
             }
             let first = scratch[ri] == 0;
@@ -742,10 +805,9 @@ impl<'a> Engine<'a> {
         self.live_partners[ui] = row.len();
         self.live_partners[vi] = 0;
 
-        // Fold members and internal links: from here on u has size
-        // nu + nv and v size 0, so every key made for either is stale.
-        let v_members = std::mem::take(&mut self.members[vi]);
-        self.members[ui].extend(v_members);
+        // Fold sizes and internal links: from here on u has size nu + nv
+        // and v size 0, so every key made for either is stale.
+        self.size[ui] += std::mem::take(&mut self.size[vi]);
         self.internal[ui] += self.internal[vi] + 2 * cross;
         self.internal[vi] = 0;
 
@@ -778,7 +840,6 @@ impl<'a> Engine<'a> {
         self.local[ui] = LocalHeap::from_keys(keys);
         self.rows[ui] = row;
         self.publish(u, old_best);
-        self.active -= 1;
         self.merges += 1;
 
         if self.record_history {
@@ -812,7 +873,7 @@ impl<'a> Engine<'a> {
                     heap.best = Some(key);
                     self.tally.replaced += 1;
                 } else {
-                    let dropped = heap.rescan(Some(key), &self.members);
+                    let dropped = heap.rescan(Some(key), &self.size);
                     self.local_pops += dropped;
                     self.tally.rescans += 1;
                     self.tally.dropped += dropped;
@@ -842,11 +903,12 @@ impl<'a> Engine<'a> {
             let heap = &mut self.local[xi];
             self.local_pops += cast::usize_to_u64(heap.len());
             self.local_pushes += cast::usize_to_u64(row.len());
-            let own = self.members[xi].len();
+            let size = &self.size;
+            let own = cast::u32_to_usize(size[xi]);
             let mut keys = std::mem::take(&mut heap.keys).into_vec();
             keys.clear();
             keys.extend(row.iter().map(|&(y, count)| {
-                let ny = self.members[cast::u32_to_usize(y)].len();
+                let ny = cast::u32_to_usize(size[cast::u32_to_usize(y)]);
                 LocalKey::new(self.goodness, count, own, y, ny)
             }));
             *heap = LocalHeap::from_keys(keys);
@@ -863,27 +925,25 @@ impl<'a> Engine<'a> {
         let heap = &mut self.local[xi];
         let old_best = heap.best;
         if old_best.is_some_and(|b| b.partner() == s) {
-            self.local_pops += 1 + heap.rescan(None, &self.members);
+            self.local_pops += 1 + heap.rescan(None, &self.size);
         }
         self.settle(x, old_best);
     }
 
-    /// Discards every active cluster with at most `max_size` members.
-    fn prune_small(&mut self, max_size: usize) {
-        let victims: Vec<u32> = (0..cast::usize_to_u32(self.members.len()))
-            .filter(|&s| {
-                let m = &self.members[cast::u32_to_usize(s)];
-                !m.is_empty() && m.len() <= max_size
-            })
-            .collect();
+    /// Discards every live cluster with at most `max_size` members, unless
+    /// that is every live cluster, and returns how many it discarded. The
+    /// points of a discarded cluster are outliers: their root has size 0.
+    fn prune_small(&mut self, max_size: usize) -> usize {
         // Never prune everything: keep at least one cluster.
-        if victims.len() == self.active {
-            return;
+        if self.size.iter().all(|&s| cast::u32_to_usize(s) <= max_size) {
+            return 0;
         }
-        for s in victims {
+        let victims: Vec<u32> = (0..cast::usize_to_u32(self.size.len()))
+            .filter(|&s| (1..=max_size).contains(&self.size(s)))
+            .collect();
+        for &s in &victims {
             let si = cast::u32_to_usize(s);
-            let mem = std::mem::take(&mut self.members[si]);
-            self.outliers.extend(mem);
+            self.size[si] = 0;
             self.internal[si] = 0;
             let retired = std::mem::take(&mut self.local[si]);
             self.local_pops += cast::usize_to_u64(retired.len());
@@ -896,8 +956,8 @@ impl<'a> Engine<'a> {
             for (x, _) in row {
                 self.drop_partner(x, s);
             }
-            self.active -= 1;
         }
+        victims.len()
     }
 
     /// Estimated bytes of the merge state that scales with the links:
@@ -913,9 +973,10 @@ impl<'a> Engine<'a> {
             + entries * std::mem::size_of::<(u32, u64)>()
     }
 
-    /// Flushes the run's tallies into `observer`: merges, pruned points,
-    /// push/pop totals over the global and every local heap, and the
-    /// end-of-run heap footprint (lazy heaps can outgrow their start).
+    /// Flushes the run's tallies into `observer`: merges, push/pop totals
+    /// over the global and every local heap, and the end-of-run heap
+    /// footprint (lazy heaps can outgrow their start). The pruned points
+    /// are counted from the result.
     fn flush_telemetry(&self, observer: &Observer) {
         let counters = observer.counters();
         let (pushes, pops) = self.global.telemetry_counts();
@@ -923,10 +984,6 @@ impl<'a> Engine<'a> {
         PipelineCounters::add(&counters.heap_pops, pops + self.local_pops);
         PipelineCounters::add(&counters.heap_anomalies, self.global.anomaly_count());
         PipelineCounters::add(&counters.merges, cast::usize_to_u64(self.merges));
-        PipelineCounters::add(
-            &counters.outliers_pruned,
-            cast::usize_to_u64(self.outliers.len()),
-        );
         MemoryGauges::observe(
             &observer.memory().heaps,
             cast::usize_to_u64(self.heap_bytes()),
@@ -935,7 +992,8 @@ impl<'a> Engine<'a> {
 
     /// Current value of the criterion function E_l.
     fn criterion(&self) -> f64 {
-        criterion(self.goodness, &self.members, &self.internal)
+        let sizes = self.size.iter().map(|&s| cast::u32_to_usize(s));
+        criterion(self.goodness, sizes, &self.internal)
     }
 
     /// Slot `s`'s row resolved by plain chain walks, without touching the
@@ -972,18 +1030,18 @@ impl<'a> Engine<'a> {
         for (xi, row) in resolved.iter().enumerate() {
             let x = cast::usize_to_u32(xi);
             let heap = &self.local[xi];
-            if self.members[xi].is_empty() {
+            if self.size[xi] == 0 {
                 assert!(self.rows[xi].is_empty(), "retired slot {x} has links");
             }
             assert!(!row.contains_key(&x), "slot {x} links to itself");
             assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
-            let own = self.members[xi].len();
+            let own = self.size(x);
             let mut live: Vec<LocalKey> = heap
                 .keys
                 .iter()
                 .copied()
                 .chain(heap.best)
-                .filter(|k| k.is_live(&self.members))
+                .filter(|k| k.is_live(&self.size))
                 .collect();
             live.sort_unstable();
             let mut fresh: Vec<LocalKey> = row
@@ -1010,58 +1068,44 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn finish(self, reached_k: bool) -> Agglomeration {
+    /// The result: each point is labeled by the slot its chain ends at,
+    /// or by none when that slot was pruned.
+    fn finish(mut self, reached_k: bool) -> Agglomeration {
         let criterion = self.criterion();
-        assemble(
-            self.members,
-            self.outliers,
-            self.history,
-            criterion,
-            self.merges,
-            reached_k,
-        )
+        let labels: Vec<Option<u32>> = (0..cast::usize_to_u32(self.parent.len()))
+            .map(|p| {
+                let root = find(&mut self.parent, p);
+                (self.size[cast::u32_to_usize(root)] > 0).then_some(root)
+            })
+            .collect();
+        assemble(&labels, self.history, criterion, self.merges, reached_k)
     }
 }
 
-/// Criterion `E_l` over the live clusters (non-empty member lists),
-/// summed in slot order.
-fn criterion(goodness: &Goodness, members: &[Vec<u32>], internal: &[u64]) -> f64 {
-    members
-        .iter()
+/// Criterion `E_l` over the live clusters (nonzero sizes), summed in slot
+/// order.
+fn criterion(goodness: &Goodness, sizes: impl Iterator<Item = usize>, internal: &[u64]) -> f64 {
+    sizes
         .zip(internal)
-        .filter(|(m, _)| !m.is_empty())
-        .map(|(m, &links)| goodness.criterion_term(links, m.len()))
+        .filter(|&(size, _)| size > 0)
+        .map(|(size, &links)| goodness.criterion_term(links, size))
         .sum()
 }
 
-/// The result of a run that ended with `members` per slot (empty =
-/// inactive) and `outliers` pruned: clusters sorted by decreasing size
-/// (ties by smallest member), the dense assignment and sorted outliers.
+/// The result of a run that ended with each point labeled by its
+/// cluster's slot, or by none if it was pruned: [`partition`]'s clusters
+/// and assignment, and the unlabeled points as outliers.
 fn assemble(
-    members: Vec<Vec<u32>>,
-    mut outliers: Vec<u32>,
+    labels: &[Option<u32>],
     history: Vec<MergeStep>,
     criterion: f64,
     merges: usize,
     reached_k: bool,
 ) -> Agglomeration {
-    let n: usize = members.iter().map(Vec::len).sum::<usize>() + outliers.len();
-    let mut clusters: Vec<Vec<u32>> = members
-        .into_iter()
-        .filter(|m| !m.is_empty())
-        .map(|mut m| {
-            m.sort_unstable();
-            m
-        })
+    let (clusters, assignment) = partition(labels);
+    let outliers = (0..cast::usize_to_u32(labels.len()))
+        .filter(|&p| labels[cast::u32_to_usize(p)].is_none())
         .collect();
-    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-    let mut assignment: Vec<Option<u32>> = vec![None; n];
-    for (c, mem) in clusters.iter().enumerate() {
-        for &p in mem {
-            assignment[cast::u32_to_usize(p)] = Some(cast::usize_to_u32(c));
-        }
-    }
-    outliers.sort_unstable();
     Agglomeration {
         assignment,
         clusters,
@@ -1130,7 +1174,7 @@ mod oracle {
         }
         let mut members: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
         let mut internal = vec![0u64; n];
-        let (mut outliers, mut history) = (Vec::new(), Vec::new());
+        let mut history = Vec::new();
         let checkpoint = config.prune.map(|p| {
             let at = (p.checkpoint_fraction * n as f64).ceil() as usize;
             (at.clamp(config.k, n), p.max_prune_size)
@@ -1146,7 +1190,7 @@ mod oracle {
                         .collect();
                     if victims.len() < active {
                         for s in victims {
-                            outliers.append(&mut members[s]);
+                            members[s].clear();
                             internal[s] = 0;
                             for x in 0..n {
                                 cross[s][x] = 0;
@@ -1187,7 +1231,7 @@ mod oracle {
             active -= 1;
             merges += 1;
             if config.record_history {
-                let criterion = criterion(good, &members, &internal);
+                let criterion = criterion(good, members.iter().map(Vec::len), &internal);
                 history.push(MergeStep {
                     kept,
                     absorbed,
@@ -1197,15 +1241,16 @@ mod oracle {
                 });
             }
         }
-        let criterion = criterion(good, &members, &internal);
-        assemble(
-            members,
-            outliers,
-            history,
-            criterion,
-            merges,
-            active == config.k,
-        )
+        let criterion = criterion(good, members.iter().map(Vec::len), &internal);
+        // Each point is labeled by the slot whose list holds it; a pruned
+        // point is in no list.
+        let mut labels = vec![None; n];
+        for (s, list) in members.iter().enumerate() {
+            for &p in list {
+                labels[p as usize] = Some(s as u32);
+            }
+        }
+        assemble(&labels, history, criterion, merges, active == config.k)
     }
 }
 
@@ -1372,6 +1417,63 @@ mod tests {
             agglomerate(3, &links, &good, &AgglomerateConfig::new(4)),
             Err(RockError::InvalidK { .. })
         ));
+    }
+
+    #[test]
+    fn link_table_over_other_points_is_rejected() {
+        let data: TransactionSet = block(0, 6, 4).into_iter().collect();
+        let g = NeighborGraph::compute(&data, &Jaccard, 0.5, 1).unwrap();
+        let links = LinkTable::compute(&g);
+        let good = Goodness::new(0.5, &MarketBasket).unwrap();
+        for n in [3, 7] {
+            assert_eq!(
+                agglomerate(n, &links, &good, &AgglomerateConfig::new(1)).unwrap_err(),
+                RockError::LengthMismatch {
+                    left_name: "links",
+                    left: 6,
+                    right_name: "points",
+                    right: n,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_fraction_outside_the_unit_interval_is_rejected() {
+        let (ts, links, good) = guarded_fixture();
+        let run = |fraction: f64| {
+            let prune = PruneConfig {
+                checkpoint_fraction: fraction,
+                max_prune_size: 1,
+            };
+            let mut cfg = AgglomerateConfig::new(2);
+            cfg.prune = Some(prune);
+            let merged = agglomerate(ts.len(), &links, &good, &cfg).map(|_| ());
+            let fit = crate::rock::RockBuilder::new(2, 0.5)
+                .prune(prune)
+                .build()
+                .fit(&ts)
+                .map(|_| ());
+            (merged, fit)
+        };
+        for fraction in [f64::NAN, -1.0, 0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            let (merged, fit) = run(fraction);
+            for result in [merged, fit] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(RockError::InvalidFraction {
+                            name: "checkpoint_fraction",
+                            ..
+                        })
+                    ),
+                    "fraction {fraction}: {result:?}"
+                );
+            }
+        }
+        for fraction in [1e-9, 0.5, 1.0] {
+            assert_eq!(run(fraction), (Ok(()), Ok(())), "fraction {fraction}");
+        }
     }
 
     #[test]
@@ -1840,10 +1942,10 @@ mod tests {
         assert_eq!(engine.rows[3], [(2, 1)]);
         assert_eq!(engine.rows[4], [(2, 1)]);
         assert_eq!((engine.parent[2], engine.parent[1]), (1, 0));
-        engine.prune_small(2);
+        assert_eq!(engine.prune_small(2), 2);
         engine.assert_invariants();
-        assert_eq!(engine.outliers, [3, 4, 5]);
         assert!(engine.global.is_empty());
+        assert_eq!(engine.finish(false).outliers, [3, 4, 5]);
 
         let cfg = AgglomerateConfig {
             k: 1,
@@ -1874,10 +1976,12 @@ mod tests {
             let good = Goodness::new(0.5, &MarketBasket).unwrap();
             let mut engine = Engine::new(n, &links, &good, true);
             engine.assert_invariants();
+            let mut active = n;
             while engine.merge_best().is_some() {
+                active -= 1;
                 engine.assert_invariants();
-                if engine.active_count() == n / 2 {
-                    engine.prune_small(2);
+                if active == n / 2 {
+                    active -= engine.prune_small(2);
                     engine.assert_invariants();
                 }
             }

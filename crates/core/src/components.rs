@@ -8,42 +8,37 @@
 //! at a dataset otherwise; the full link machinery remains the robust
 //! choice when bridges exist.
 
+use crate::agglomerate::partition;
 use crate::cast;
 use crate::neighbors::NeighborGraph;
 
 /// Clusters the points of `graph` into connected components.
 ///
-/// Returns member lists ordered by decreasing size (ties by smallest
-/// member), like the merge engine. Isolated points come out as singleton
-/// components — callers wanting ROCK-style outlier treatment can filter by
-/// size.
+/// Returns member lists in [`partition`]'s order (decreasing size, ties by
+/// smallest member), like the merge engine. Isolated points come out as
+/// singleton components — callers wanting ROCK-style outlier treatment
+/// can filter by size.
 pub fn connected_components(graph: &NeighborGraph) -> Vec<Vec<u32>> {
-    let n = graph.len();
-    let mut component = vec![u32::MAX; n];
-    let mut next = 0u32;
+    // Each point is labeled by the first point of its component.
+    let mut component: Vec<Option<u32>> = vec![None; graph.len()];
     let mut stack: Vec<u32> = Vec::new();
-    for start in 0..n {
-        if component[start] != u32::MAX {
+    for start in 0..cast::usize_to_u32(graph.len()) {
+        if component[cast::u32_to_usize(start)].is_some() {
             continue;
         }
-        component[start] = next;
-        stack.push(cast::usize_to_u32(start));
+        component[cast::u32_to_usize(start)] = Some(start);
+        stack.push(start);
         while let Some(p) = stack.pop() {
             for &q in graph.neighbors(cast::u32_to_usize(p)) {
-                if component[cast::u32_to_usize(q)] == u32::MAX {
-                    component[cast::u32_to_usize(q)] = next;
+                let label = &mut component[cast::u32_to_usize(q)];
+                if label.is_none() {
+                    *label = Some(start);
                     stack.push(q);
                 }
             }
         }
-        next += 1;
     }
-    let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); cast::u32_to_usize(next)];
-    for (p, &c) in component.iter().enumerate() {
-        clusters[cast::u32_to_usize(c)].push(cast::usize_to_u32(p));
-    }
-    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-    clusters
+    partition(&component).0
 }
 
 #[cfg(test)]

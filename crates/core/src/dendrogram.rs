@@ -10,7 +10,8 @@
 //! (pruning removes clusters outside the merge sequence); the pipeline
 //! records history for exactly this use.
 
-use crate::agglomerate::MergeStep;
+use crate::agglomerate::{find, partition, MergeStep};
+use crate::cast;
 use crate::telemetry::MemoryEstimate;
 
 /// A merge tree over `n` points, built from an agglomeration history.
@@ -62,46 +63,37 @@ impl Dendrogram {
 
     /// Cuts the tree at `k` clusters: replays the first `n − k` merges.
     ///
-    /// Returns member lists ordered by decreasing size (ties broken by
-    /// smallest member), exactly like the merge engine's output. Returns
-    /// `None` when `k` is 0, exceeds `n`, or undershoots
+    /// Returns member lists in [`partition`]'s order (decreasing size,
+    /// ties broken by smallest member), exactly like the merge engine's
+    /// output. Returns `None` when `k` is 0, exceeds `n`, or undershoots
     /// [`min_clusters`](Self::min_clusters).
     pub fn cut(&self, k: usize) -> Option<Vec<Vec<u32>>> {
-        if k == 0 || k > self.n || k < self.min_clusters() {
-            return None;
-        }
-        // Union-find over the point slots; merge steps reference engine
-        // slots, which are always the `kept`/`absorbed` cluster's slot id
-        // (a point index), so replay is a straight union sequence.
-        let mut members: Vec<Vec<u32>> = (0..crate::cast::usize_to_u32(self.n))
-            .map(|i| vec![i])
-            .collect();
-        for step in &self.steps[..self.n - k] {
-            let absorbed = std::mem::take(&mut members[crate::cast::u32_to_usize(step.absorbed)]);
-            members[crate::cast::u32_to_usize(step.kept)].extend(absorbed);
-        }
-        let mut clusters: Vec<Vec<u32>> = members
-            .into_iter()
-            .filter(|m| !m.is_empty())
-            .map(|mut m| {
-                m.sort_unstable();
-                m
-            })
-            .collect();
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-        Some(clusters)
+        self.labels_at(k).map(|labels| partition(&labels).0)
     }
 
     /// Assignment form of [`cut`](Self::cut): per-point cluster index.
     pub fn cut_assignments(&self, k: usize) -> Option<Vec<u32>> {
-        let clusters = self.cut(k)?;
-        let mut out = vec![0u32; self.n];
-        for (c, members) in clusters.iter().enumerate() {
-            for &p in members {
-                out[crate::cast::u32_to_usize(p)] = crate::cast::usize_to_u32(c);
-            }
+        let labels = self.labels_at(k)?;
+        Some(partition(&labels).1.into_iter().flatten().collect())
+    }
+
+    /// Each point's label after the first `n − k` merges, the input of
+    /// [`partition`]. Merge steps name engine slots, and a step points its
+    /// absorbed slot at the kept one as the engine's union-find does, so
+    /// each point is labeled by the slot its chain ends at.
+    fn labels_at(&self, k: usize) -> Option<Vec<Option<u32>>> {
+        if k == 0 || k > self.n || k < self.min_clusters() {
+            return None;
         }
-        Some(out)
+        let mut parent: Vec<u32> = (0..cast::usize_to_u32(self.n)).collect();
+        for step in &self.steps[..self.n - k] {
+            parent[cast::u32_to_usize(step.absorbed)] = step.kept;
+        }
+        Some(
+            (0..cast::usize_to_u32(self.n))
+                .map(|p| Some(find(&mut parent, p)))
+                .collect(),
+        )
     }
 
     /// Suggests a cluster count by the largest *relative* drop in merge

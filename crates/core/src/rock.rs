@@ -28,7 +28,9 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::agglomerate::{agglomerate_guarded, AgglomerateConfig, MergeStep, PruneConfig};
+use crate::agglomerate::{
+    agglomerate_guarded, partition, AgglomerateConfig, MergeStep, PruneConfig,
+};
 use crate::cast;
 use crate::contracts;
 use crate::data::{ClusterId, TransactionSet};
@@ -461,7 +463,8 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
     /// # Errors
     /// Propagates configuration and data validation errors
     /// ([`RockError::InvalidTheta`], [`RockError::InvalidK`],
-    /// [`RockError::EmptyDataset`], [`RockError::EmptySample`], …).
+    /// [`RockError::InvalidFraction`], [`RockError::EmptyDataset`],
+    /// [`RockError::EmptySample`], …).
     pub fn fit(&self, data: &TransactionSet) -> Result<RockModel> {
         Ok(self
             .fit_guarded(data, &Observer::new(), &Guard::unlimited())?
@@ -533,6 +536,9 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
             });
         }
         self.config.labeling.validate()?;
+        if let Some(prune) = &self.config.prune {
+            prune.validate()?;
+        }
         let mut rng = seeded_rng(self.config.seed);
 
         // ── Phase 1: sample ────────────────────────────────────────────
@@ -586,7 +592,7 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
         contracts::check_neighbor_graph(&graph);
 
         // Up-front outlier filter.
-        let (kept, filtered, graph, clustered, avg_degree, max_degree) =
+        let (kept, graph, clustered, avg_degree, max_degree) =
             run_phase(observer, Phase::Outliers, || {
                 let (kept, filtered): (Vec<usize>, Vec<usize>) =
                     self.config.neighbor_filter.split_observed(&graph, observer);
@@ -615,10 +621,7 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
                 let payload = Payload::new()
                     .count("kept", cast::usize_to_u64(kept.len()))
                     .count("filtered", cast::usize_to_u64(filtered.len()));
-                Ok((
-                    (kept, filtered, graph, clustered, avg_degree, max_degree),
-                    payload,
-                ))
+                Ok(((kept, graph, clustered, avg_degree, max_degree), payload))
             })?;
         if let Some(trip) = guard.checkpoint(Phase::Outliers, observer) {
             return Ok(degraded_all_outliers(n, start, observer, guard, trip));
@@ -676,35 +679,17 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
             Ok(((agg, trip), payload))
         })?;
 
-        // Map sample-local indices back to original dataset indices.
-        // kept[i] = index into `sample`; sample_indices[kept[i]] = original.
-        let to_original = |local: u32| -> u32 {
-            cast::usize_to_u32(sample_indices[kept[cast::u32_to_usize(local)]])
-        };
-
-        let mut assignments: Vec<Option<ClusterId>> = vec![None; n];
-        let mut clusters: Vec<Vec<u32>> = agg
-            .clusters
-            .iter()
-            .map(|members| {
-                let mut m: Vec<u32> = members.iter().map(|&p| to_original(p)).collect();
-                m.sort_unstable();
-                m
-            })
-            .collect();
-        for (c, members) in clusters.iter().enumerate() {
-            for &p in members {
-                assignments[cast::u32_to_usize(p)] = Some(ClusterId(cast::usize_to_u32(c)));
-            }
+        // One label per point: its sample cluster, its labeled cluster, or
+        // none (filtered, pruned, unlabelable, or never reached). Sample-
+        // local point `i` is `kept[i]` in `sample`, which is original point
+        // `sample_indices[kept[i]]`.
+        let mut labels: Vec<Option<u32>> = vec![None; n];
+        for (&i, &cluster) in kept.iter().zip(&agg.assignment) {
+            labels[sample_indices[i]] = cluster;
         }
-        let mut outliers: Vec<u32> = filtered
-            .iter()
-            .map(|&i| cast::usize_to_u32(sample_indices[i]))
-            .chain(agg.outliers.iter().map(|&p| to_original(p)))
-            .collect();
 
         // ── Phase 4: label points outside the clustered sample ────────
-        run_phase(observer, Phase::Labeling, || {
+        let outliers = run_phase(observer, Phase::Labeling, || {
             if trip.is_none() {
                 trip = guard.checkpoint(Phase::Labeling, observer);
             }
@@ -713,11 +698,8 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
                 // points stay outliers per the paper. Only points never
                 // seen by the clustering phase get labeled.
                 let mut settled = vec![false; n];
-                for &i in &kept {
-                    settled[sample_indices[i]] = true;
-                }
-                for &o in &outliers {
-                    settled[cast::u32_to_usize(o)] = true;
+                for &i in &sample_indices {
+                    settled[i] = true;
                 }
                 let reps = Representatives::draw(
                     &clustered,
@@ -733,7 +715,7 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
                     .filter_map(|i| data.transaction(i).map(|t| (i, t)))
                     .collect();
                 let points: Vec<&crate::data::Transaction> = rows.iter().map(|&(_, t)| t).collect();
-                let labels = crate::labeling::label_many_observed(
+                let found = crate::labeling::label_many_observed(
                     &points,
                     &reps,
                     &self.sim,
@@ -742,50 +724,22 @@ impl<S: Similarity, F: LinkExponent> Rock<S, F> {
                     self.config.threads,
                     observer,
                 );
-                for (&(i, _), label) in rows.iter().zip(labels) {
-                    match label {
-                        Some(c) => {
-                            assignments[i] = Some(ClusterId(cast::usize_to_u32(c)));
-                            clusters[c].push(cast::usize_to_u32(i));
-                        }
-                        None => outliers.push(cast::usize_to_u32(i)),
-                    }
-                }
-                for members in &mut clusters {
-                    members.sort_unstable();
+                for (&(i, _), label) in rows.iter().zip(found) {
+                    labels[i] = label.map(cast::usize_to_u32);
                 }
             }
-            if trip.is_some() {
-                // The run was cut short: every point the pipeline never
-                // assigned (skipped labeling, interrupted merges) becomes
-                // an outlier so the partition invariants below still hold.
-                for (i, assignment) in assignments.iter().enumerate() {
-                    if assignment.is_none() {
-                        outliers.push(cast::usize_to_u32(i));
-                    }
-                }
-            }
+            // A run cut short leaves the points it never reached
+            // (skipped labeling, interrupted merges) unlabeled: outliers.
+            let outliers: Vec<u32> = (0..cast::usize_to_u32(n))
+                .filter(|&i| labels[cast::u32_to_usize(i)].is_none())
+                .collect();
             let payload = Payload::new().count("outliers", cast::usize_to_u64(outliers.len()));
-            Ok(((), payload))
+            Ok((outliers, payload))
         })?;
 
-        // Re-order clusters by decreasing final size and re-number.
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        order.sort_by(|&a, &b| {
-            clusters[b]
-                .len()
-                .cmp(&clusters[a].len())
-                .then_with(|| clusters[a].first().cmp(&clusters[b].first()))
-        });
-        let clusters: Vec<Vec<u32>> = order.into_iter().map(|i| clusters[i].clone()).collect();
-        let mut assignments: Vec<Option<ClusterId>> = vec![None; n];
-        for (c, members) in clusters.iter().enumerate() {
-            for &p in members {
-                assignments[cast::u32_to_usize(p)] = Some(ClusterId(cast::usize_to_u32(c)));
-            }
-        }
-        outliers.sort_unstable();
-        outliers.dedup();
+        let (clusters, index) = partition(&labels);
+        let assignments: Vec<Option<ClusterId>> =
+            index.into_iter().map(|c| c.map(ClusterId)).collect();
         contracts::check_partition(&assignments, &outliers);
 
         let stats = RockStats {
