@@ -371,6 +371,39 @@ mod tests {
     }
 
     #[test]
+    fn framing_defects_fail_closed() {
+        let text = sample().render();
+        let (_, after_checksum) = text.split_once("\nchecksum fnv1a64 ").unwrap();
+        let (_, body) = after_checksum.split_once('\n').unwrap();
+        let before_end = body.strip_suffix("end rock-checkpoint/v1\n").unwrap();
+        let checksummed = |body: &str| {
+            format!(
+                "rock-checkpoint/v1\nchecksum fnv1a64 {:016x}\n{body}",
+                fnv1a64(body.as_bytes())
+            )
+        };
+        // Sanity: the helper reproduces the rendered framing.
+        assert_eq!(checksummed(body), text);
+        assert!(StreamCheckpoint::parse(&checksummed(&format!("{body}\n\n"))).is_ok());
+        for bad in [
+            format!("rock-checkpoint/v1\nchecksum crc32 00\n{body}"),
+            checksummed(&body.replace("kmax 4", "kmax four")),
+            checksummed(before_end),
+            checksummed(&format!("{before_end}end rock-model/v1\n")),
+            checksummed(&format!("{body}junk\n")),
+            checksummed(&format!("{body}\n\njunk\n")),
+        ] {
+            assert!(
+                matches!(
+                    StreamCheckpoint::parse(&bad),
+                    Err(RockError::CheckpointInvalid { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
     fn semantic_invariants_fail_closed() {
         let mut cp = sample();
         cp.chunks_done = 99; // > total

@@ -1061,6 +1061,63 @@ mod tests {
         }
     }
 
+    /// The `SnapshotFormat` line `text` fails at; panics on any other
+    /// outcome.
+    fn format_error_line(text: &str) -> usize {
+        match ModelSnapshot::parse(text) {
+            Err(RockError::SnapshotFormat { line, .. }) => line,
+            other => panic!("expected SnapshotFormat, got {other:?}"),
+        }
+    }
+
+    /// `body` under a header and a checksum line that matches it.
+    fn checksummed(body: &str) -> String {
+        format!(
+            "rock-model/v1\nchecksum fnv1a64 {:016x}\n{body}",
+            super::fnv1a64(body.as_bytes())
+        )
+    }
+
+    #[test]
+    fn framing_defects_report_their_class_and_line() {
+        let text = toy_snapshot().render();
+        let (_, after_checksum) = text.split_once("\nchecksum fnv1a64 ").unwrap();
+        let (_, body) = after_checksum.split_once('\n').unwrap();
+        // The toy body is lines 3..=20, `end` last.
+        assert_eq!(body.lines().count(), 18);
+        let before_end = body.strip_suffix("end rock-model/v1\n").unwrap();
+
+        assert_eq!(
+            format_error_line(&format!("rock-model/v1\nchecksum crc32 00\n{body}")),
+            2
+        );
+        assert_eq!(
+            format_error_line(&checksummed(
+                &body.replace("similarity jaccard", "similarity euclid")
+            )),
+            5
+        );
+        assert_eq!(format_error_line(&checksummed(before_end)), 20);
+        assert_eq!(
+            format_error_line(&checksummed(&format!("{body}junk\n"))),
+            21
+        );
+        // Blank lines after `end` are allowed; content after them is
+        // reported at the line right after `end`.
+        assert!(ModelSnapshot::parse(&checksummed(&format!("{body}\n\n"))).is_ok());
+        assert_eq!(
+            format_error_line(&checksummed(&format!("{body}\n\njunk\n"))),
+            21
+        );
+        // A checksum mismatch stays its own class.
+        assert!(matches!(
+            ModelSnapshot::parse(&format!(
+                "rock-model/v1\nchecksum fnv1a64 0000000000000000\n{body}"
+            )),
+            Err(RockError::SnapshotChecksum { .. })
+        ));
+    }
+
     const KINDS: [SimilarityKind; 4] = [
         SimilarityKind::Jaccard,
         SimilarityKind::Dice,
