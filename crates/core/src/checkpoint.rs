@@ -25,17 +25,17 @@
 //! end rock-checkpoint/v1
 //! ```
 //!
-//! Writes are atomic (temp file + rename in the destination directory),
-//! so a crash mid-write leaves either the previous checkpoint or the new
-//! one, never a torn file. Parsing never panics; every defect surfaces
-//! as [`RockError::CheckpointInvalid`] (exit code 4) — resume **fails
+//! Writes are [`crate::file`] replacements (temp file + rename), so a
+//! crash mid-write leaves either the previous checkpoint or the new one,
+//! never a torn file. Parsing never panics; every defect surfaces as
+//! [`RockError::CheckpointInvalid`] (exit code 4) — resume **fails
 //! closed**, it never silently restarts from scratch on a corrupt
 //! record.
 
 use std::path::Path;
 
 use crate::error::{Result, RockError};
-use crate::hash::fnv1a64;
+use crate::file::{self, Defect, Sealed};
 
 /// Format header (and footer) line; the version is part of the name.
 const HEADER: &str = "rock-checkpoint/v1";
@@ -68,12 +68,45 @@ pub struct StreamCheckpoint {
     pub partial_fnv: u64,
 }
 
+/// Every framing defect is one more way a checkpoint cannot be trusted.
+fn invalid(defect: Defect) -> RockError {
+    let message = match defect {
+        Defect::Version(found) => format!("unknown format/version {found:?}"),
+        Defect::Checksum(expected, actual) => format!(
+            "checksum mismatch: header says {expected:016x}, body hashes to {actual:016x} (truncated or corrupt)"
+        ),
+        Defect::Format(line, message) => format!("{message} (line {line})"),
+    };
+    RockError::CheckpointInvalid { message }
+}
+
+/// The values on the body line keyed `key`: exactly one per radix.
+fn values<const N: usize>(
+    record: &mut Sealed<'_>,
+    key: &str,
+    radixes: [u32; N],
+) -> Result<[u64; N]> {
+    let bad = |message: String| RockError::CheckpointInvalid { message };
+    let tokens: Vec<&str> = record.keyed(key)?.1.split_whitespace().collect();
+    if tokens.len() != N {
+        return Err(bad(format!(
+            "expected {N} values after `{key}`, found {tokens:?}"
+        )));
+    }
+    let mut out = [0; N];
+    for ((slot, token), radix) in out.iter_mut().zip(tokens).zip(radixes) {
+        *slot = u64::from_str_radix(token, radix)
+            .map_err(|e| bad(format!("bad {key} value {token:?}: {e}")))?;
+    }
+    Ok(out)
+}
+
 impl StreamCheckpoint {
     /// The canonical text rendering (always the same bytes for the same
     /// record).
     pub fn render(&self) -> String {
         let body = format!(
-            "cache {:016x}\nmodel {:016x}\nchunks {} {}\nrows {}\nlabeled {}\noutliers {}\nkmax {}\npartial {} {:016x}\nend {HEADER}\n",
+            "cache {:016x}\nmodel {:016x}\nchunks {} {}\nrows {}\nlabeled {}\noutliers {}\nkmax {}\npartial {} {:016x}\n",
             self.cache_id,
             self.model_id,
             self.chunks_done,
@@ -85,10 +118,7 @@ impl StreamCheckpoint {
             self.partial_bytes,
             self.partial_fnv,
         );
-        format!(
-            "{HEADER}\nchecksum fnv1a64 {:016x}\n{body}",
-            fnv1a64(body.as_bytes())
-        )
+        file::seal(HEADER, &body)
     }
 
     /// Parses checkpoint text, verifying the header, checksum and
@@ -100,101 +130,16 @@ impl StreamCheckpoint {
     /// trusts the record completely or fails closed.
     pub fn parse(text: &str) -> Result<Self> {
         let bad = |message: String| RockError::CheckpointInvalid { message };
-        let Some((first, rest)) = text.split_once('\n') else {
-            return Err(bad(format!("missing header, found {:?}", text.trim())));
-        };
-        if first.trim_end_matches('\r') != HEADER {
-            return Err(bad(format!("unknown format/version {first:?}")));
-        }
-        let Some((checksum_line, body)) = rest.split_once('\n') else {
-            return Err(bad("missing checksum line".to_owned()));
-        };
-        let expected = match checksum_line
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .as_slice()
-        {
-            ["checksum", "fnv1a64", hex] => u64::from_str_radix(hex, 16)
-                .map_err(|e| bad(format!("bad checksum value {hex:?}: {e}")))?,
-            _ => return Err(bad(format!("bad checksum line {checksum_line:?}"))),
-        };
-        let actual = fnv1a64(body.as_bytes());
-        if actual != expected {
-            return Err(bad(format!(
-                "checksum mismatch: header says {expected:016x}, body hashes to {actual:016x} (truncated or corrupt)"
-            )));
-        }
-
-        let mut lines = body.lines();
-        let mut field = |key: &str| -> Result<Vec<String>> {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad(format!("truncated: expected `{key}` line")))?;
-            let rest = line
-                .strip_prefix(key)
-                .and_then(|r| r.strip_prefix(' '))
-                .ok_or_else(|| bad(format!("expected `{key} ...`, found {line:?}")))?;
-            Ok(rest.split_whitespace().map(str::to_owned).collect())
-        };
-        let hex1 = |key: &str, toks: &[String]| -> Result<u64> {
-            match toks {
-                [h] => u64::from_str_radix(h, 16)
-                    .map_err(|e| bad(format!("bad {key} value {h:?}: {e}"))),
-                _ => Err(bad(format!("expected `{key} <hex>`, found {toks:?}"))),
-            }
-        };
-        let dec1 = |key: &str, toks: &[String]| -> Result<u64> {
-            match toks {
-                [d] => d
-                    .parse()
-                    .map_err(|e| bad(format!("bad {key} value {d:?}: {e}"))),
-                _ => Err(bad(format!("expected `{key} <n>`, found {toks:?}"))),
-            }
-        };
-
-        let cache_id = hex1("cache", &field("cache")?)?;
-        let model_id = hex1("model", &field("model")?)?;
-        let chunks = field("chunks")?;
-        let (chunks_done, chunks_total) = match chunks.as_slice() {
-            [done, total] => (
-                done.parse()
-                    .map_err(|e| bad(format!("bad chunks done {done:?}: {e}")))?,
-                total
-                    .parse()
-                    .map_err(|e| bad(format!("bad chunks total {total:?}: {e}")))?,
-            ),
-            _ => {
-                return Err(bad(format!(
-                    "expected `chunks <done> <total>`, found {chunks:?}"
-                )))
-            }
-        };
-        let rows_done = dec1("rows", &field("rows")?)?;
-        let labeled = dec1("labeled", &field("labeled")?)?;
-        let outliers = dec1("outliers", &field("outliers")?)?;
-        let kmax = dec1("kmax", &field("kmax")?)?;
-        let partial = field("partial")?;
-        let (partial_bytes, partial_fnv) = match partial.as_slice() {
-            [bytes, fnv] => (
-                bytes
-                    .parse()
-                    .map_err(|e| bad(format!("bad partial bytes {bytes:?}: {e}")))?,
-                u64::from_str_radix(fnv, 16)
-                    .map_err(|e| bad(format!("bad partial fnv {fnv:?}: {e}")))?,
-            ),
-            _ => {
-                return Err(bad(format!(
-                    "expected `partial <bytes> <fnv-hex>`, found {partial:?}"
-                )))
-            }
-        };
-        match lines.next() {
-            Some(l) if l == format!("end {HEADER}") => {}
-            other => return Err(bad(format!("expected `end {HEADER}`, found {other:?}"))),
-        }
-        if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
-            return Err(bad(format!("trailing content {extra:?}")));
-        }
+        let mut record = Sealed::open(HEADER, text, invalid)?;
+        let [cache_id] = values(&mut record, "cache", [16])?;
+        let [model_id] = values(&mut record, "model", [16])?;
+        let [chunks_done, chunks_total] = values(&mut record, "chunks", [10, 10])?;
+        let [rows_done] = values(&mut record, "rows", [10])?;
+        let [labeled] = values(&mut record, "labeled", [10])?;
+        let [outliers] = values(&mut record, "outliers", [10])?;
+        let [kmax] = values(&mut record, "kmax", [10])?;
+        let [partial_bytes, partial_fnv] = values(&mut record, "partial", [10, 16])?;
+        record.finish()?;
 
         let cp = StreamCheckpoint {
             cache_id,
@@ -223,25 +168,20 @@ impl StreamCheckpoint {
         Ok(cp)
     }
 
-    /// Replaces the checkpoint at `path`: the text is written to
-    /// `<path>.tmp` in the same directory, then renamed over `path`.
-    /// Neither the temp file nor the directory is synced, so the
-    /// replacement is atomic against process death — a `kill -9` leaves
-    /// either the old record or the new one — but not against power
-    /// loss: after a power cut the checkpoint can be empty or missing. An
-    /// empty one fails resume closed ([`RockError::CheckpointInvalid`],
-    /// exit 4); a missing one makes the rerun start over.
+    /// Replaces the checkpoint at `path` through [`file::Replacement`]:
+    /// the text is written to `<path>.tmp` in the same directory, then
+    /// renamed over `path`. Neither the temp file nor the directory is
+    /// synced, so the replacement is atomic against process death — a
+    /// `kill -9` leaves either the old record or the new one — but not
+    /// against power loss: after a power cut the checkpoint can be empty
+    /// or missing. An empty one fails resume closed
+    /// ([`RockError::CheckpointInvalid`], exit 4); a missing one makes the
+    /// rerun start over.
     ///
     /// # Errors
     /// [`RockError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        let io = |e: std::io::Error| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let tmp = tmp_path(path);
-        std::fs::write(&tmp, self.render()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        file::replace(path, self.render().as_bytes())
     }
 
     /// Loads and verifies a checkpoint from `path`.
@@ -249,27 +189,19 @@ impl StreamCheckpoint {
     /// # Errors
     /// [`RockError::Io`] when the file cannot be read,
     /// [`RockError::CheckpointInvalid`] when it can be read but not
-    /// trusted.
+    /// trusted, invalid UTF-8 included.
     pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
+        let text = file::read_text(path, |line, message| RockError::CheckpointInvalid {
+            message: format!("{message} (line {line})"),
         })?;
         Self::parse(&text)
     }
 }
 
-/// Sibling temp path used for atomic replacement (same directory, so the
-/// rename cannot cross filesystems).
-pub(crate) fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fnv1a64;
 
     fn sample() -> StreamCheckpoint {
         StreamCheckpoint {
@@ -310,7 +242,7 @@ mod tests {
         next.labeled = 7800;
         next.save(&path).unwrap();
         assert_eq!(StreamCheckpoint::load(&path).unwrap(), next);
-        assert!(!tmp_path(&path).exists());
+        assert!(!file::sibling(&path, ".tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -411,6 +343,21 @@ mod tests {
         let mut cp = sample();
         cp.labeled = 1; // labeled + outliers != rows
         assert!(StreamCheckpoint::parse(&cp.render()).is_err());
+    }
+
+    #[test]
+    fn a_checkpoint_that_is_not_utf8_fails_closed() {
+        let dir = std::env::temp_dir().join("rock-checkpoint-not-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.rockckpt");
+        let mut bytes = sample().render().into_bytes();
+        let at = bytes.iter().position(|&b| b == b'\n').unwrap() + 3;
+        bytes[at] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = StreamCheckpoint::load(&path).unwrap_err();
+        assert!(matches!(err, RockError::CheckpointInvalid { .. }), "{err}");
+        assert_eq!(err.exit_code(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

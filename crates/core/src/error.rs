@@ -161,6 +161,15 @@ pub enum RockError {
 }
 
 impl RockError {
+    /// The `map_err` adapter for a filesystem call on `path`: flattens the
+    /// [`std::io::Error`] into [`RockError::Io`] tagged with the path.
+    pub fn io(path: &std::path::Path) -> impl Fn(std::io::Error) -> RockError + '_ {
+        move |e| RockError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        }
+    }
+
     /// Stable process exit code for this error, used by the CLI:
     ///
     /// | code | class |

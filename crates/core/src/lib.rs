@@ -62,6 +62,7 @@ pub mod data;
 pub mod dendrogram;
 pub mod error;
 pub mod export;
+pub mod file;
 pub mod goodness;
 pub mod guard;
 pub mod hash;

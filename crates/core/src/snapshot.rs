@@ -29,9 +29,11 @@
 //! end rock-model/v1
 //! ```
 //!
-//! The checksum is FNV-1a 64 over every byte *after* the checksum line;
-//! any corruption — truncation, bit flips, hand edits — is detected at
-//! load time. Loading never panics: malformed input surfaces as
+//! The framing is [`crate::file`]'s sealed record: the checksum is
+//! FNV-1a 64 over every byte *after* the checksum line, so any
+//! corruption — truncation, bit flips, hand edits — is detected at load
+//! time. Saving replaces the file by temp file + rename. Loading never
+//! panics: malformed input (invalid UTF-8 included) surfaces as
 //! [`RockError::SnapshotVersion`], [`RockError::SnapshotChecksum`],
 //! [`RockError::SnapshotFormat`] or [`RockError::SnapshotInvalid`], all
 //! mapped to the CLI's "malformed input" exit code (4).
@@ -40,12 +42,12 @@
 //! byte-identical output (floats round-trip through their IEEE-754 bit
 //! patterns; the human-readable decimal on the same line is advisory).
 
-use std::io::Write;
 use std::path::Path;
 
 use crate::cast;
 use crate::data::{AttrId, Transaction, TransactionSet, Vocabulary};
 use crate::error::{Result, RockError};
+use crate::file::{self, Defect, Sealed};
 use crate::hash::fnv1a64;
 use crate::labeling::{DenseReps, Labeler, LabelingConfig, Representatives};
 use crate::rock::RockModel;
@@ -54,6 +56,18 @@ use crate::similarity::{Cosine, Dice, Jaccard, Overlap, Similarity};
 
 /// Format header (and footer) line; the version is part of the name.
 const HEADER: &str = "rock-model/v1";
+
+/// Maps a framing defect to the snapshot's error classes.
+fn snapshot_error(defect: Defect) -> RockError {
+    match defect {
+        Defect::Version(found) => RockError::SnapshotVersion { found },
+        Defect::Checksum(expected, actual) => RockError::SnapshotChecksum {
+            expected: format!("fnv1a64:{expected:016x}"),
+            actual: format!("fnv1a64:{actual:016x}"),
+        },
+        Defect::Format(line, message) => RockError::SnapshotFormat { line, message },
+    }
+}
 
 /// Escapes a vocabulary value for single-line storage (`\` → `\\`,
 /// newline → `\n`, carriage return → `\r`).
@@ -545,19 +559,7 @@ impl ModelSnapshot {
                 body.push('\n');
             }
         }
-        body.push_str(&format!("end {HEADER}\n"));
-        format!(
-            "{HEADER}\nchecksum fnv1a64 {:016x}\n{body}",
-            fnv1a64(body.as_bytes())
-        )
-    }
-
-    /// Writes the canonical text to `out`.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
-        out.write_all(self.render().as_bytes())
+        file::seal(HEADER, &body)
     }
 
     /// Content fingerprint of the snapshot: FNV-1a 64 over the canonical
@@ -577,15 +579,15 @@ impl ModelSnapshot {
         format!("{:016x}", self.fingerprint())
     }
 
-    /// Saves the snapshot to `path`.
+    /// Saves the snapshot to `path` through a [`file::Replacement`]: the
+    /// text goes to `<path>.tmp`, which is then renamed over `path`, so a
+    /// failed save leaves the previous snapshot in place. Nothing is
+    /// synced.
     ///
     /// # Errors
     /// [`RockError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        std::fs::write(path, self.render()).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        file::replace(path, self.render().as_bytes())
     }
 
     /// Parses snapshot text, verifying version, checksum, grammar and
@@ -598,103 +600,39 @@ impl ModelSnapshot {
     /// [`RockError::SnapshotInvalid`] for semantic ones.
     pub fn parse(text: &str) -> Result<Self> {
         let bad = |line: usize, message: String| RockError::SnapshotFormat { line, message };
-        let Some((first, rest)) = text.split_once('\n') else {
-            return Err(RockError::SnapshotVersion {
-                found: text.trim().to_owned(),
-            });
-        };
-        if first.trim_end_matches('\r') != HEADER {
-            return Err(RockError::SnapshotVersion {
-                found: first.trim_end_matches('\r').to_owned(),
-            });
-        }
-        let Some((checksum_line, body)) = rest.split_once('\n') else {
-            return Err(bad(2, "missing checksum line".to_owned()));
-        };
-        let expected = match checksum_line
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .as_slice()
-        {
-            ["checksum", "fnv1a64", hex] => u64::from_str_radix(hex, 16)
-                .map_err(|e| bad(2, format!("bad checksum value {hex:?}: {e}")))?,
-            _ => return Err(bad(2, format!("bad checksum line {checksum_line:?}"))),
-        };
-        let actual = fnv1a64(body.as_bytes());
-        if actual != expected {
-            return Err(RockError::SnapshotChecksum {
-                expected: format!("fnv1a64:{expected:016x}"),
-                actual: format!("fnv1a64:{actual:016x}"),
-            });
-        }
-
         // Body grammar: fixed key order, then vocab block, reps blocks, end.
-        let mut lines = body.lines();
-        let mut lineno = 2usize;
-        let mut next = |what: &str| -> Result<(usize, &str)> {
-            lineno += 1;
-            lines
-                .next()
-                .map(|l| (lineno, l))
-                .ok_or_else(|| RockError::SnapshotFormat {
-                    line: lineno,
-                    message: format!("truncated snapshot: expected {what}"),
-                })
-        };
-        let mut keyed = |key: &str| -> Result<(usize, String)> {
-            let (no, line) = next(&format!("`{key}` line"))?;
-            let rest = line.strip_prefix(key).and_then(|r| r.strip_prefix(' '));
-            match rest {
-                Some(r) => Ok((no, r.to_owned())),
-                None => Err(bad(no, format!("expected `{key} ...`, found {line:?}"))),
-            }
-        };
-
-        let parse_f64_bits = |no: usize, value: &str, key: &str| -> Result<f64> {
-            let bits_token = value.split_whitespace().next().unwrap_or("");
+        let mut record = Sealed::open(HEADER, text, snapshot_error)?;
+        let mut float = |key: &str| -> Result<f64> {
+            let (no, v) = record.keyed(key)?;
+            let bits_token = v.split_whitespace().next().unwrap_or("");
             let bits = u64::from_str_radix(bits_token, 16)
                 .map_err(|e| bad(no, format!("bad {key} bits {bits_token:?}: {e}")))?;
             Ok(f64::from_bits(bits))
         };
-
-        let (no, v) = keyed("theta")?;
-        let theta = parse_f64_bits(no, &v, "theta")?;
-        let (no, v) = keyed("exponent")?;
-        let exponent = parse_f64_bits(no, &v, "exponent")?;
-        let (no, v) = keyed("similarity")?;
+        let theta = float("theta")?;
+        let exponent = float("exponent")?;
+        let (no, v) = record.keyed("similarity")?;
         let similarity = SimilarityKind::from_name(v.trim())
             .ok_or_else(|| bad(no, format!("unknown similarity {v:?}")))?;
-        let (no, v) = keyed("policy")?;
+        let (no, v) = record.keyed("policy")?;
         let policy = OutlierPolicy::from_name(v.trim())
             .ok_or_else(|| bad(no, format!("unknown outlier policy {v:?}")))?;
-        let (no, v) = keyed("universe")?;
-        let universe: usize = v
-            .trim()
-            .parse()
-            .map_err(|e| bad(no, format!("bad universe {v:?}: {e}")))?;
-        let (no, v) = keyed("clusters")?;
-        let clusters: usize = v
-            .trim()
-            .parse()
-            .map_err(|e| bad(no, format!("bad cluster count {v:?}: {e}")))?;
-        let (no, v) = keyed("vocab")?;
-        let vocab_len: usize = v
-            .trim()
-            .parse()
-            .map_err(|e| bad(no, format!("bad vocab size {v:?}: {e}")))?;
+        let mut count = |key: &str| -> Result<usize> {
+            let (no, v) = record.keyed(key)?;
+            v.trim()
+                .parse()
+                .map_err(|e| bad(no, format!("bad {key} count {v:?}: {e}")))
+        };
+        let universe = count("universe")?;
+        let clusters = count("clusters")?;
+        let vocab_len = count("vocab")?;
 
         let vocabulary = if vocab_len == 0 {
             None
         } else {
             let mut vocab = Vocabulary::new();
             for i in 0..vocab_len {
-                let (no, line) = next("vocabulary entry")?;
-                let Some(rest) = line.strip_prefix("v ") else {
-                    return Err(bad(
-                        no,
-                        format!("expected `v <attr> <value>`, found {line:?}"),
-                    ));
-                };
+                let (no, rest) = record.keyed("v")?;
                 let (attr_token, value) = rest.split_once(' ').unwrap_or((rest, ""));
                 let attr: u16 = attr_token
                     .parse()
@@ -713,7 +651,7 @@ impl ModelSnapshot {
         // error instead of a huge allocation.
         let mut sets: Vec<Vec<Transaction>> = Vec::new();
         for c in 0..clusters {
-            let (no, line) = next("reps header")?;
+            let (no, line) = record.next("reps header")?;
             let toks: Vec<&str> = line.split_whitespace().collect();
             let ["reps", idx, count] = toks.as_slice() else {
                 return Err(bad(
@@ -729,7 +667,7 @@ impl ModelSnapshot {
                 .map_err(|e| bad(no, format!("bad representative count {count:?}: {e}")))?;
             let mut set = Vec::new();
             for _ in 0..count {
-                let (no, line) = next("representative line")?;
+                let (no, line) = record.next("representative line")?;
                 if line != "r" && !line.starts_with("r ") {
                     return Err(bad(no, format!("expected `r <items...>`, found {line:?}")));
                 }
@@ -748,13 +686,7 @@ impl ModelSnapshot {
             sets.push(set);
         }
 
-        let (no, line) = next("end line")?;
-        if line != format!("end {HEADER}") {
-            return Err(bad(no, format!("expected `end {HEADER}`, found {line:?}")));
-        }
-        if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
-            return Err(bad(lineno + 1, format!("trailing content {extra:?}")));
-        }
+        record.finish()?;
 
         Self::new(
             theta,
@@ -770,12 +702,14 @@ impl ModelSnapshot {
     /// Loads a snapshot from `path`.
     ///
     /// # Errors
-    /// [`RockError::Io`] on filesystem failure, otherwise the same
-    /// classes as [`ModelSnapshot::parse`].
+    /// [`RockError::Io`] on filesystem failure,
+    /// [`RockError::SnapshotFormat`] at the line of the first byte that
+    /// is not UTF-8, otherwise the same classes as
+    /// [`ModelSnapshot::parse`].
     pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
+        let text = file::read_text(path, |line, message| RockError::SnapshotFormat {
+            line,
+            message,
         })?;
         Self::parse(&text)
     }
@@ -834,6 +768,51 @@ mod tests {
         assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
         std::fs::remove_file(p1).ok();
         std::fs::remove_file(p2).ok();
+    }
+
+    #[test]
+    fn a_failed_save_keeps_the_previous_snapshot() {
+        let dir = std::env::temp_dir().join("rock-snapshot-failed-save");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.rockmodel");
+        let old = toy_snapshot();
+        old.save(&path).unwrap();
+        // A directory where the temp file goes: the save cannot start.
+        std::fs::create_dir(dir.join("m.rockmodel.tmp")).unwrap();
+        let new = ModelSnapshot::new(
+            0.6,
+            old.exponent(),
+            old.similarity(),
+            OutlierPolicy::Nearest,
+            old.universe(),
+            old.vocabulary().cloned(),
+            old.representatives().clone(),
+        )
+        .unwrap();
+        let err = new.save(&path).unwrap_err();
+        assert!(matches!(err, RockError::Io { .. }), "{err}");
+        assert_eq!(ModelSnapshot::load(&path).unwrap().render(), old.render());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_that_is_not_utf8_is_malformed_at_its_line() {
+        let dir = std::env::temp_dir().join("rock-snapshot-not-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.rockmodel");
+        let mut bytes = toy_snapshot().render().into_bytes();
+        // Byte 0xff in the checksum line (line 2).
+        let at = bytes.iter().position(|&b| b == b'\n').unwrap() + 3;
+        bytes[at] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ModelSnapshot::load(&path).unwrap_err();
+        assert!(
+            matches!(err, RockError::SnapshotFormat { line: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! resume truncates back to the recorded length and verifies against the
 //! recorded running FNV state — so a process killed at *any* point
 //! resumes to assignments byte-identical to an uninterrupted run. Power
-//! loss is not covered: the checkpoint replacement is atomic against
-//! process death only ([`StreamCheckpoint::save`](crate::checkpoint::StreamCheckpoint::save)).
+//! loss is not covered: the checkpoint is an unsynced [`crate::file`]
+//! replacement, atomic against process death only ([`StreamCheckpoint::save`](crate::checkpoint::StreamCheckpoint::save)).
 //! A corrupt or inconsistent checkpoint fails closed
 //! ([`RockError::CheckpointInvalid`], exit code 4); it never silently
 //! restarts.
@@ -43,10 +43,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::cast;
-use crate::checkpoint::{tmp_path, StreamCheckpoint};
+use crate::checkpoint::StreamCheckpoint;
 use crate::data::Transaction;
 use crate::error::{Result, RockError};
 use crate::export;
+use crate::file::{self, Replacement};
 use crate::guard::{Degradation, Guard, Trip};
 use crate::hash::{fnv1a64, Fnv1a64};
 use crate::retry::{RetryOutcome, RetryPolicy};
@@ -294,14 +295,14 @@ impl<'a> StreamLabeler<'a> {
             // kill a fresh run.
             match self.retry.run(guard, observer, Phase::Labeling, || {
                 self.probe(&partial)?;
-                write_file(&partial, b"")
+                std::fs::write(&partial, b"").map_err(RockError::io(&partial))
             })? {
                 RetryOutcome::Done(()) => {}
                 RetryOutcome::Tripped(trip) => {
                     // Tripped before anything durable existed: make the
                     // empty partial so the degraded output is still a
                     // valid (zero-row) labeling.
-                    write_file(&partial, b"")?;
+                    std::fs::write(&partial, b"").map_err(RockError::io(&partial))?;
                     return self.degrade(&fresh, false, &partial, output, guard, trip);
                 }
             }
@@ -469,15 +470,12 @@ impl<'a> StreamLabeler<'a> {
                 cp.chunks_total
             )));
         }
-        let io = |e: std::io::Error| RockError::Io {
-            path: partial.display().to_string(),
-            message: e.to_string(),
-        };
+        let io = RockError::io(partial);
         let len = match std::fs::metadata(partial) {
             Ok(m) => m.len(),
             Err(_) if cp.partial_bytes == 0 => {
                 // Nothing durable yet; recreate the empty partial.
-                write_file(partial, b"")?;
+                std::fs::write(partial, b"").map_err(RockError::io(partial))?;
                 0
             }
             Err(e) => return Err(io(e)),
@@ -493,16 +491,16 @@ impl<'a> StreamLabeler<'a> {
             let f = std::fs::OpenOptions::new()
                 .write(true)
                 .open(partial)
-                .map_err(io)?;
-            f.set_len(cp.partial_bytes).map_err(io)?;
-            f.sync_all().map_err(io)?;
+                .map_err(&io)?;
+            f.set_len(cp.partial_bytes).map_err(&io)?;
+            f.sync_all().map_err(&io)?;
         }
         let mut body = Vec::new();
         std::fs::File::open(partial)
-            .map_err(io)?
+            .map_err(&io)?
             .take(cp.partial_bytes)
             .read_to_end(&mut body)
-            .map_err(io)?;
+            .map_err(&io)?;
         let actual = fnv1a64(&body);
         if actual != cp.partial_fnv {
             return Err(bad(format!(
@@ -515,8 +513,8 @@ impl<'a> StreamLabeler<'a> {
 
     /// Writes the final `rock-assignments v1` file: header, then the
     /// partial body streamed across — byte-identical to
-    /// `write_assignments` over the same labels. Atomic via temp +
-    /// rename; retried on transient faults.
+    /// `write_assignments` over the same labels. A synced
+    /// [`Replacement`]; retried on transient faults.
     fn finalize(
         &self,
         cp: &StreamCheckpoint,
@@ -525,22 +523,17 @@ impl<'a> StreamLabeler<'a> {
         guard: &Guard,
         observer: &Observer,
     ) -> Result<()> {
-        let io = |e: std::io::Error| RockError::Io {
-            path: output.display().to_string(),
-            message: e.to_string(),
-        };
-        let tmp = tmp_path(output);
         match self.retry.run(guard, observer, Phase::Labeling, || {
             self.probe(output)?;
-            let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp).map_err(io)?);
-            export::write_header(&mut out, cp.rows_done, cp.kmax, cp.outliers).map_err(io)?;
-            let body = std::fs::File::open(partial).map_err(io)?;
-            std::io::copy(&mut body.take(cp.partial_bytes), &mut out).map_err(io)?;
-            out.into_inner()
-                .map_err(|e| io(e.into_error()))?
-                .sync_all()
-                .map_err(io)?;
-            std::fs::rename(&tmp, output).map_err(io)
+            let mut out = Replacement::create(output)?;
+            export::write_header(out.writer(), cp.rows_done, cp.kmax, cp.outliers)
+                .map_err(RockError::io(output))?;
+            let body = std::fs::File::open(partial).map_err(RockError::io(partial))?;
+            // A `BufWriter<File>` destination keeps std's in-kernel copy.
+            std::io::copy(&mut body.take(cp.partial_bytes), out.writer())
+                .map_err(RockError::io(output))?;
+            out.sync()?;
+            out.commit()
         })? {
             RetryOutcome::Done(()) => Ok(()),
             // Finalize runs after the guard already allowed the last
@@ -589,9 +582,7 @@ fn stats_of(cp: &StreamCheckpoint, resumed: bool) -> StreamStats {
 /// Sibling path holding the headerless assignment body while the stream
 /// is in flight (`<output>.partial`).
 pub fn partial_path(output: &Path) -> PathBuf {
-    let mut name = output.file_name().unwrap_or_default().to_os_string();
-    name.push(".partial");
-    output.with_file_name(name)
+    file::sibling(output, ".partial")
 }
 
 /// Estimated heap bytes of a chunk buffer: per row, the `Vec<u32>` items
@@ -604,21 +595,11 @@ fn estimate_chunk_bytes(chunk: &[Transaction]) -> u64 {
         .sum()
 }
 
-fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
-    std::fs::write(path, bytes).map_err(|e| RockError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })
-}
-
 fn remove_file(path: &Path) -> Result<()> {
     match std::fs::remove_file(path) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }),
+        Err(e) => Err(RockError::io(path)(e)),
     }
 }
 
@@ -626,20 +607,17 @@ fn remove_file(path: &Path) -> Result<()> {
 /// disk. Re-running after a torn attempt is safe: the truncate discards
 /// whatever the failed attempt left behind.
 fn append_at(path: &Path, at: u64, bytes: &[u8]) -> Result<()> {
-    let io = |e: std::io::Error| RockError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
+    let io = RockError::io(path);
     let mut f = std::fs::OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(false)
         .open(path)
-        .map_err(io)?;
-    f.set_len(at).map_err(io)?;
-    f.seek(SeekFrom::Start(at)).map_err(io)?;
-    f.write_all(bytes).map_err(io)?;
-    f.sync_data().map_err(io)
+        .map_err(&io)?;
+    f.set_len(at).map_err(&io)?;
+    f.seek(SeekFrom::Start(at)).map_err(&io)?;
+    f.write_all(bytes).map_err(&io)?;
+    f.sync_data().map_err(&io)
 }
 
 #[cfg(test)]

@@ -499,7 +499,7 @@ struct TraceState {
     out: std::io::BufWriter<std::fs::File>,
     path: PathBuf,
     /// First write error, surfaced by [`Tracer::finish`].
-    error: Option<String>,
+    error: Option<std::io::Error>,
 }
 
 /// The rock-trace/v1 emitter. One lives inside every
@@ -550,17 +550,14 @@ impl Tracer {
     /// # Errors
     /// [`RockError::Io`] when the file cannot be created or written.
     pub fn start_to_path(&self, path: &Path, source: &str) -> crate::Result<()> {
-        let io_err = |e: &std::io::Error| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let file = std::fs::File::create(path).map_err(|e| io_err(&e))?;
+        let io = RockError::io(path);
+        let file = std::fs::File::create(path).map_err(&io)?;
         let mut out = std::io::BufWriter::new(file);
         let meta = TraceRecord::Meta {
             schema: TRACE_SCHEMA.to_owned(),
             source: source.to_owned(),
         };
-        writeln!(out, "{}", meta.to_line()).map_err(|e| io_err(&e))?;
+        writeln!(out, "{}", meta.to_line()).map_err(io)?;
         let mut state = lock_state(self);
         *state = Some(TraceState {
             epoch: crate::guard::monotonic_now(),
@@ -674,7 +671,7 @@ impl Tracer {
             return;
         }
         if let Err(e) = writeln!(state.out, "{}", record.to_line()) {
-            state.error = Some(e.to_string());
+            state.error = Some(e);
         }
     }
 
@@ -692,16 +689,10 @@ impl Tracer {
         };
         let flush = state.out.flush();
         let path = state.path;
-        if let Some(message) = state.error {
-            return Err(RockError::Io {
-                path: path.display().to_string(),
-                message,
-            });
+        if let Some(e) = state.error {
+            return Err(RockError::io(&path)(e));
         }
-        flush.map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
+        flush.map_err(RockError::io(&path))?;
         Ok(Some(path))
     }
 }

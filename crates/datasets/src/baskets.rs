@@ -16,6 +16,7 @@
 use std::path::Path;
 
 use rock_core::data::{Transaction, TransactionSet, Vocabulary};
+use rock_core::file::read_text;
 use rock_core::{Result, RockError};
 
 /// Parses basket text into a [`TransactionSet`] with an attached
@@ -56,13 +57,11 @@ pub fn parse_baskets(text: &str, delimiter: Option<char>) -> Result<TransactionS
 /// Loads a basket file from disk.
 ///
 /// # Errors
-/// [`RockError::Io`] on filesystem failure, plus everything
+/// [`RockError::Io`] on filesystem failure, [`RockError::Csv`] at the
+/// line of the first byte that is not UTF-8, plus everything
 /// [`parse_baskets`] can return.
 pub fn load_baskets(path: &Path, delimiter: Option<char>) -> Result<TransactionSet> {
-    let text = std::fs::read_to_string(path).map_err(|e| RockError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
+    let text = read_text(path, |line, message| RockError::Csv { line, message })?;
     parse_baskets(&text, delimiter)
 }
 
@@ -116,6 +115,18 @@ mod tests {
             load_baskets(Path::new("/no/such/file.basket"), None),
             Err(RockError::Io { .. })
         ));
+    }
+
+    #[test]
+    fn a_file_that_is_not_utf8_is_malformed_at_its_line() {
+        let dir = std::env::temp_dir().join("rock-baskets-not-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("b.basket");
+        std::fs::write(&path, b"bread milk\nbeer \xfe chips\n").unwrap();
+        let err = load_baskets(&path, None).unwrap_err();
+        assert!(matches!(err, RockError::Csv { line: 2, .. }), "{err}");
+        assert_eq!(err.exit_code(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! worse — ties the streaming labeler's identity checks to mutable text
 //! files. A cache is built once beside the source data and then serves
 //! fixed-size chunks by direct seek, each verified against a per-chunk
-//! FNV-1a 64 checksum on read. The whole file is written atomically
-//! (temp file + rename), so a crashed build never leaves a half-cache
-//! that a later run could trust.
+//! FNV-1a 64 checksum on read. The whole file is written as one synced
+//! [`Replacement`] (temp file + rename, see [`rock_core::file`]), so a
+//! crashed build never leaves a half-cache that a later run could trust.
 //!
 //! ## Layout (all integers little-endian u64 unless noted)
 //!
@@ -34,12 +34,13 @@
 //! exit code 4) or [`RockError::Io`] (filesystem, exit code 3, retried
 //! by the streaming labeler); nothing here panics on bad bytes.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use rock_core::cast;
 use rock_core::data::Transaction;
+use rock_core::file::Replacement;
 use rock_core::hash::Fnv1a64;
 use rock_core::stream::ChunkSource;
 use rock_core::{Result, RockError};
@@ -62,13 +63,6 @@ struct ChunkEntry {
     fnv: u64,
 }
 
-fn io_err(path: &Path) -> impl Fn(std::io::Error) -> RockError + '_ {
-    move |e| RockError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
-
 fn invalid(message: String) -> RockError {
     RockError::CacheInvalid { message }
 }
@@ -81,8 +75,7 @@ fn invalid(message: String) -> RockError {
 #[derive(Debug)]
 pub struct CacheBuilder {
     path: PathBuf,
-    tmp: PathBuf,
-    out: std::io::BufWriter<std::fs::File>,
+    out: Replacement<'static>,
     universe: u64,
     chunk_rows: usize,
     pending: Vec<Transaction>,
@@ -98,19 +91,14 @@ impl CacheBuilder {
     /// # Errors
     /// [`RockError::Io`] when the temp file cannot be created.
     pub fn create(path: &Path, universe: usize, chunk_rows: usize) -> Result<Self> {
-        let tmp = tmp_sibling(path);
-        let file = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
-        let mut out = std::io::BufWriter::new(file);
-        out.write_all(MAGIC).map_err(io_err(&tmp))?;
+        let mut out = Replacement::create(path.to_path_buf())?;
+        out.write_all(MAGIC)?;
         let universe = cast::usize_to_u64(universe);
         let chunk_rows = chunk_rows.max(1);
-        out.write_all(&universe.to_le_bytes())
-            .map_err(io_err(&tmp))?;
-        out.write_all(&cast::usize_to_u64(chunk_rows).to_le_bytes())
-            .map_err(io_err(&tmp))?;
+        out.write_all(&universe.to_le_bytes())?;
+        out.write_all(&cast::usize_to_u64(chunk_rows).to_le_bytes())?;
         Ok(CacheBuilder {
             path: path.to_path_buf(),
-            tmp,
             out,
             universe,
             chunk_rows,
@@ -154,7 +142,7 @@ impl CacheBuilder {
         }
         let mut h = Fnv1a64::new();
         h.update(&payload);
-        self.out.write_all(&payload).map_err(io_err(&self.tmp))?;
+        self.out.write_all(&payload)?;
         self.entries.push(ChunkEntry {
             offset: self.offset,
             rows: cast::usize_to_u64(self.pending.len()),
@@ -189,13 +177,9 @@ impl CacheBuilder {
         let mut h = Fnv1a64::new();
         h.update(&tail);
         tail.extend_from_slice(&h.finish().to_le_bytes());
-        self.out.write_all(&tail).map_err(io_err(&self.tmp))?;
-        self.out
-            .into_inner()
-            .map_err(|e| io_err(&self.tmp)(e.into_error()))?
-            .sync_all()
-            .map_err(io_err(&self.tmp))?;
-        std::fs::rename(&self.tmp, &self.path).map_err(io_err(&self.path))?;
+        self.out.write_all(&tail)?;
+        self.out.sync()?;
+        self.out.commit()?;
         DatasetCache::open(&self.path)
     }
 }
@@ -241,7 +225,7 @@ impl DatasetCache {
     /// [`RockError::Io`] when the file cannot be read,
     /// [`RockError::CacheInvalid`] when it can be read but not trusted.
     pub fn open(path: &Path) -> Result<Self> {
-        let io = io_err(path);
+        let io = RockError::io(path);
         let mut f = std::fs::File::open(path).map_err(&io)?;
         let file_len = f.metadata().map_err(&io)?.len();
         let head_len = cast::usize_to_u64(MAGIC.len()) + 16;
@@ -401,7 +385,7 @@ impl ChunkSource for DatasetCache {
                 inj.fail_io(&self.path)?;
             }
         }
-        let io = io_err(&self.path);
+        let io = RockError::io(&self.path);
         let mut f = std::fs::File::open(&self.path).map_err(&io)?;
         f.seek(SeekFrom::Start(entry.offset)).map_err(&io)?;
         let mut payload = vec![0u8; cast::u64_to_usize(entry.bytes)];
@@ -459,12 +443,6 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,7 +482,7 @@ mod tests {
         // Reopen: identical identity, no temp file left behind.
         let again = DatasetCache::open(&path).unwrap();
         assert_eq!(again.cache_id(), cache.cache_id());
-        assert!(!tmp_sibling(&path).exists());
+        assert!(!rock_core::file::sibling(&path, ".tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -83,10 +83,7 @@ impl FaultInjector {
     /// The injected or real I/O failure.
     pub fn read_to_string(&mut self, path: &Path) -> Result<String> {
         self.fail_io(path)?;
-        std::fs::read_to_string(path).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        std::fs::read_to_string(path).map_err(RockError::io(path))
     }
 
     /// Binary sibling of [`read_to_string`](Self::read_to_string).
@@ -95,10 +92,7 @@ impl FaultInjector {
     /// The injected or real I/O failure.
     pub fn read(&mut self, path: &Path) -> Result<Vec<u8>> {
         self.fail_io(path)?;
-        std::fs::read(path).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        std::fs::read(path).map_err(RockError::io(path))
     }
 
     /// Writes `bytes` to `path`, or fails at the configured
@@ -111,14 +105,11 @@ impl FaultInjector {
     /// # Errors
     /// The injected or real I/O failure.
     pub fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<()> {
-        let io = |e: std::io::Error| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
+        let io = RockError::io(path);
         if self.rng.gen_bool(self.write_failure_rate) {
             if !bytes.is_empty() && self.rng.gen_bool(0.5) {
                 let keep = self.rng.gen_range(0..bytes.len());
-                std::fs::write(path, &bytes[..keep]).map_err(io)?;
+                std::fs::write(path, &bytes[..keep]).map_err(&io)?;
                 return Err(RockError::Io {
                     path: path.display().to_string(),
                     message: format!("injected torn write ({keep} of {} bytes)", bytes.len()),

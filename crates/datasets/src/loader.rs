@@ -14,6 +14,7 @@
 use std::path::Path;
 
 use rock_core::data::{CategoricalTable, Schema};
+use rock_core::file::read_text;
 use rock_core::{Result, RockError};
 
 use crate::csv;
@@ -250,13 +251,11 @@ pub fn parse_labeled(text: &str, config: &LoadConfig) -> Result<LabeledTable> {
 /// Loads a labeled categorical table from a file.
 ///
 /// # Errors
-/// [`RockError::Io`] on filesystem failure, plus everything
+/// [`RockError::Io`] on filesystem failure, [`RockError::Csv`] at the
+/// line of the first byte that is not UTF-8, plus everything
 /// [`parse_labeled`] can return.
 pub fn load_labeled(path: &Path, config: &LoadConfig) -> Result<LabeledTable> {
-    let text = std::fs::read_to_string(path).map_err(|e| RockError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
+    let text = read_text(path, |line, message| RockError::Csv { line, message })?;
     parse_labeled(&text, config)
 }
 
@@ -396,6 +395,18 @@ democrat,y,y,y,n
         assert!(matches!(err, RockError::Io { .. }));
         assert!(err.to_string().contains("/nonexistent/file.data"));
         assert_eq!(err.exit_code(), 3);
+    }
+
+    #[test]
+    fn a_file_that_is_not_utf8_is_malformed_at_its_line() {
+        let dir = std::env::temp_dir().join("rock-loader-not-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.data");
+        std::fs::write(&path, b"a,b,one\nc,d,two\ne,\xff,three\n").unwrap();
+        let err = load_labeled(&path, &LoadConfig::default()).unwrap_err();
+        assert!(matches!(err, RockError::Csv { line: 3, .. }), "{err}");
+        assert_eq!(err.exit_code(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

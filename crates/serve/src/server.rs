@@ -1099,10 +1099,7 @@ fn indent_block(json: &str) -> String {
 /// [`RockError::Io`] when the file cannot be written.
 pub fn flush_metrics(metrics: &str, path: Option<&std::path::Path>) -> Result<()> {
     match path {
-        Some(path) => std::fs::write(path, metrics).map_err(|e| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }),
+        Some(path) => std::fs::write(path, metrics).map_err(RockError::io(path)),
         None => {
             let mut err = std::io::stderr().lock();
             err.write_all(metrics.as_bytes()).ok();

@@ -58,12 +58,13 @@
 //! assignments file and exits 6, leaving the checkpoint in place so a
 //! rerun finishes the job. `--stream` requires `--output`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rock::core::export::write_assignments;
+use rock::core::file::{sibling, Replacement};
 use rock::core::metrics::{cluster_breakdown, densify_labels, matched_accuracy, purity};
 use rock::core::summary::ClusterSummary;
 use rock::core::telemetry::StderrSink;
@@ -637,12 +638,9 @@ fn run(opts: &Options) -> Result<(), RockError> {
     }
 
     if let Some(path) = &opts.output {
-        let io_err = |e: std::io::Error| RockError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
-        write_assignments(&mut file, model.assignments()).map_err(io_err)?;
+        let mut out = Replacement::create(path)?;
+        write_assignments(out.writer(), model.assignments()).map_err(RockError::io(path))?;
+        out.commit()?;
         eprintln!("assignments written to {}", path.display());
     }
 
@@ -745,13 +743,6 @@ fn load_label_input(
                 .collect::<Result<_, _>>()
         }
     }
-}
-
-/// Appends `suffix` to `path`'s file name (`out.txt` → `out.txt.ckpt`).
-fn sibling(path: &std::path::Path, suffix: &str) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(suffix);
-    path.with_file_name(name)
 }
 
 /// The `label --stream` path: ensure a `rock-cache/v1` cache exists for
@@ -893,21 +884,16 @@ fn run_label(opts: &LabelOptions) -> Result<(), RockError> {
 
     match &opts.output {
         Some(path) => {
-            let io_err = |e: std::io::Error| RockError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            };
-            let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
-            write_assignments(&mut file, &assignments).map_err(io_err)?;
+            let mut out = Replacement::create(path)?;
+            write_assignments(out.writer(), &assignments).map_err(RockError::io(path))?;
+            out.commit()?;
             eprintln!("labels written to {}", path.display());
         }
         None => {
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
-            write_assignments(&mut out, &assignments).map_err(|e| RockError::Io {
-                path: "<stdout>".to_owned(),
-                message: e.to_string(),
-            })?;
+            write_assignments(&mut out, &assignments)
+                .map_err(RockError::io(Path::new("<stdout>")))?;
         }
     }
     Ok(())
