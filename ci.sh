@@ -64,6 +64,13 @@ gate_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
 }
 
+gate_doc() {
+    # Public docs must build without warnings: a link from a public doc
+    # to a private or moved item is an error, not a silent dead link.
+    echo "== cargo doc (workspace, warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+}
+
 gate_analyze() {
     echo "== rock-analyze --deny (workspace lint pass)"
     # The JSON report lands in target/analyze/ so CI can upload it as an
@@ -266,12 +273,13 @@ bench_check_file() {
 # (--bench or --gate bench) — same contract as before the selector.
 # `repeat` reruns three of these gates five times; CI's release job
 # asks for it by name.
-GATES="fmt clippy analyze tier1 chaos stream serve registry trace rockbench"
+GATES="fmt clippy doc analyze tier1 chaos stream serve registry trace rockbench"
 
 list_gates() {
     echo "ci.sh gates (run one with --gate <name>):"
     echo "  fmt       cargo fmt --check"
     echo "  clippy    cargo clippy, warnings are errors"
+    echo "  doc       cargo doc, warnings are errors"
     echo "  analyze   rock-analyze --deny lint pass"
     echo "  tier1     release build + unit/doc tests + integration suites"
     echo "  chaos     fault-injection suite (budgets, degradation)"

@@ -10,9 +10,9 @@
 //!   `± max(tolerance × baseline, floor)` of the baseline. The floor
 //!   exempts millisecond-scale phases where scheduler noise dominates.
 //! - `memory_bytes.*` — banded with the same relative tolerance and a
-//!   byte floor: the estimates include `HashMap` capacities, which grow
-//!   under a per-process random hash seed, so the high-water figures
-//!   wobble a little between identical runs.
+//!   byte floor: the estimates count allocated capacities, not the bytes
+//!   in use. No gauged structure holds a hash map (DESIGN.md §13), so a
+//!   per-process random hash seed does not move them.
 //! - `*_rps` / `*_pps` (requests/points per second) — one-sided lower
 //!   bound: the fresh throughput may fall at most `tolerance` below the
 //!   baseline; being faster is never a finding. This is how the

@@ -36,11 +36,6 @@ impl CategoricalTable {
         &self.schema
     }
 
-    /// Mutable schema access (used by loaders while interning values).
-    pub fn schema_mut(&mut self) -> &mut Schema {
-        &mut self.schema
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

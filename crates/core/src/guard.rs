@@ -407,7 +407,7 @@ impl Guard {
 
     /// Merge-loop check, called once per prospective merge step. Counts
     /// the step and consults the step budget and cancellation every tick;
-    /// the deadline is sampled every [`DEADLINE_STRIDE`] ticks (clock
+    /// the deadline is sampled every `DEADLINE_STRIDE` ticks (clock
     /// reads are too slow for the inner loop). Returns the trip, if any —
     /// in which case the step was *not* consumed.
     pub fn merge_tick(&self) -> Option<Trip> {

@@ -10,25 +10,25 @@
 //!   are harvested into a sparse row: `Σ_l deg(l)²` scattered increments
 //!   in all. The sparse path, and the oracle the bit kernel is tested
 //!   against.
-//! * **Bits** — over a row-major bit matrix of the graph ([`BitRows`]).
+//! * **Bits** — over a row-major bit matrix of the graph (`BitRows`).
 //!   For point `i`, the OR of the rows of `N(i)` over the words holding
 //!   `j > i`, with the bits `≤ i` masked off, is exactly the set of `j`
 //!   with `link(i, j) > 0`; each one's count is `popcount(N(i) AND
 //!   N(j))`. It wins when each stored link stands for many list steps.
 //!
 //! The choice is made once per graph, sequentially, from the graph and
-//! the run's memory ceiling alone ([`select`]), so every thread count
+//! the run's memory ceiling alone (`select`), so every thread count
 //! runs the same kernel, and both kernels give the same rows with the
 //! same capacities and the same counters: `link_kernel_steps` always
 //! adds the paper's cost measure `Σ_{l∈N(i)} deg(l)` per row.
 //!
 //! Source rows are independent — row `i` reads only the (immutable)
 //! neighbor graph and writes only `rows[i]` — so either kernel runs on
-//! [`shard::guarded_rows`]: rows are partitioned into contiguous ranges
+//! `shard::guarded_rows`: rows are partitioned into contiguous ranges
 //! balanced by the per-row work estimate `Σ_{l∈N(i)} deg(l)`, each worker
 //! owns its scratch, and the merged table is **byte-identical** to the
 //! sequential result for any thread count. Workers poll the run
-//! [`Guard`] every [`shard::GUARD_STRIDE`] rows, so budget trips and
+//! [`Guard`] every `shard::GUARD_STRIDE` rows, so budget trips and
 //! cancellation degrade mid-phase instead of finishing the whole table
 //! first.
 
@@ -362,7 +362,7 @@ impl LinkTable {
     /// and the finished table's size, plus the bit matrix when it ran,
     /// into its memory gauge; the result is byte-identical for every
     /// thread count and either kernel. Every worker polls
-    /// [`Guard::checkpoint`] each [`shard::GUARD_STRIDE`] rows and
+    /// [`Guard::checkpoint`] each `shard::GUARD_STRIDE` rows and
     /// flushes its stored-entry tally into the link-table memory gauge,
     /// so budget trips and cancellation stop the kernel mid-phase. On a
     /// trip the partially filled table is returned together with the

@@ -9,10 +9,10 @@
 //! available behind [`JoinStrategy`]:
 //!
 //! * **Brute force** — every ordered pair, rows chunked equally over
-//!   [`shard::fan_out`] workers. Works for any [`Similarity`]; kept as the
+//!   `shard::fan_out` workers. Works for any [`Similarity`]; kept as the
 //!   oracle the index kernel is tested against and as the path for
 //!   tiny inputs and custom measures.
-//! * **Inverted-index join** ([`index`], DESIGN.md §17) — for the
+//! * **Inverted-index join** (`index`, DESIGN.md §17) — for the
 //!   count-based measures (those reporting a
 //!   [`Similarity::count_kind`]), candidates come from posting lists
 //!   over a frequency-ranked prefix of each row, are pruned by exact
@@ -45,7 +45,7 @@ const INDEX_MIN_N: usize = 128;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Index join when the measure supports it and the input is large
-    /// enough ([`INDEX_MIN_N`] rows); brute force otherwise.
+    /// enough (`INDEX_MIN_N` rows); brute force otherwise.
     #[default]
     Auto,
     /// Force the inverted-index join. Falls back to brute force when the
@@ -277,11 +277,6 @@ impl NeighborGraph {
             cast::usize_to_f64(self.num_edges()) / cast::usize_to_f64(self.lists.len())
         };
         (avg, max)
-    }
-
-    /// Consumes the graph, returning the raw lists.
-    pub fn into_lists(self) -> Vec<Vec<u32>> {
-        self.lists
     }
 
     /// Restricts the graph to the points in `kept` (sorted, distinct

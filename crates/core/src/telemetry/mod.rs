@@ -498,11 +498,6 @@ impl Observer {
         &self.tracer
     }
 
-    /// `true` when an event sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Emits `event` to the sink, if any.
     pub fn emit(&self, event: Event) {
         if let Some(sink) = &self.sink {
@@ -662,11 +657,6 @@ impl Metrics {
     pub fn with_degradation(mut self, degradation: crate::guard::Degradation) -> Self {
         self.degradation = Some(degradation);
         self
-    }
-
-    /// Wall seconds of one phase.
-    pub fn phase_wall_secs(&self, phase: Phase) -> f64 {
-        self.phase_secs[phase.index()]
     }
 
     fn serialize(&self, pretty: bool) -> String {

@@ -73,11 +73,6 @@ impl VotesModel {
         self
     }
 
-    /// Total members.
-    pub fn num_members(&self) -> usize {
-        self.democrats + self.republicans
-    }
-
     /// Generates `(table, party labels)`. Rows are interleaved
     /// (shuffled) so that clustering cannot exploit input order.
     pub fn generate(&self) -> (CategoricalTable, Vec<Party>) {

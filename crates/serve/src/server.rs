@@ -339,11 +339,6 @@ impl ServerHandle {
         &self.shared.registry
     }
 
-    /// The current `rock-serve-metrics/v1` document.
-    pub fn metrics_json(&self) -> String {
-        render_metrics(&self.shared)
-    }
-
     /// Stops accepting, drains every queued connection, joins all
     /// threads and returns the final metrics document.
     pub fn shutdown(mut self) -> String {
