@@ -159,7 +159,7 @@ impl StreamCheckpoint {
                 cp.chunks_done, cp.chunks_total
             )));
         }
-        if cp.labeled + cp.outliers != cp.rows_done {
+        if cp.labeled.checked_add(cp.outliers) != Some(cp.rows_done) {
             return Err(bad(format!(
                 "labeled {} + outliers {} does not equal rows done {}",
                 cp.labeled, cp.outliers, cp.rows_done
@@ -358,6 +358,18 @@ mod tests {
         assert!(matches!(err, RockError::CheckpointInvalid { .. }), "{err}");
         assert_eq!(err.exit_code(), 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tallies_that_overflow_fail_closed() {
+        let mut cp = sample();
+        cp.rows_done = 0;
+        cp.labeled = u64::MAX;
+        cp.outliers = 1;
+        assert!(matches!(
+            StreamCheckpoint::parse(&cp.render()),
+            Err(RockError::CheckpointInvalid { .. })
+        ));
     }
 
     #[test]
