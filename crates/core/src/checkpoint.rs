@@ -258,6 +258,15 @@ mod tests {
     }
 
     #[test]
+    fn an_edit_that_keeps_the_invariants_fails_the_checksum() {
+        let text = sample().render().replace("kmax 4", "kmax 5");
+        assert!(matches!(
+            StreamCheckpoint::parse(&text),
+            Err(RockError::CheckpointInvalid { message }) if message.contains("checksum mismatch")
+        ));
+    }
+
+    #[test]
     fn truncation_fails_closed() {
         let text = sample().render();
         for keep in 1..text.lines().count() {
