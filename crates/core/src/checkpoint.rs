@@ -90,7 +90,7 @@ fn values<const N: usize>(
     let tokens: Vec<&str> = record.keyed(key)?.1.split_whitespace().collect();
     if tokens.len() != N {
         return Err(bad(format!(
-            "expected {N} values after `{key}`, found {tokens:?}"
+            "wrong number of values after `{key}`: {tokens:?}"
         )));
     }
     let mut out = [0; N];
