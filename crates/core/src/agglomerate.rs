@@ -17,21 +17,25 @@
 //!   there, and the counts of several entries for one cluster sum. A row
 //!   is *resolved* (entries mapped, dead slots dropped, counts summed in
 //!   a dense scratch row) only where it is read: when its slot merges,
-//!   rebuilds its heap, or is pruned. Each slot keeps the exact count of
+//!   builds its heap, or is pruned. Each slot keeps the exact count of
 //!   its live partners, so nothing else needs the row.
 //! * The engine is built by counting each slot's degree and scattering
 //!   the upper-triangle link table into rows of exact capacity.
-//! * Local heaps are *lazy*: a partner repair adds the new key and
-//!   leaves the old one in place. A key records its partner's size and
-//!   is live while the partner still has that size (a live cluster only
-//!   grows; a retired or pruned one has size 0); a slot's own heap is
-//!   rebuilt whenever its own size changes. Stale keys are dropped when
-//!   they surface. Each heap holds its best live key outside the binary
-//!   heap. A repair whose best pointed at `u` or `v` drops that stale
-//!   best at once: the merged key replaces it in `O(1)` if it wins, and
-//!   only if it lost does the repair rescan. A heap is rebuilt from its
-//!   row once it holds more than twice its slot's live partners. The
-//!   kept cluster's heap is heapified from its merged row in `O(row)`.
+//! * Local heaps are *lazy*, and each holds its best live key outside
+//!   the binary heap. A heap starts *unbuilt*: it holds only that best,
+//!   the greatest key its resolved row makes, found in one pass over the
+//!   row. It is built (its row resolved, every key made and heapified)
+//!   only when a repair or a prune takes its best and the key that
+//!   replaces it is not known: a rescan. A built heap's repair adds the
+//!   new key and leaves the old one in place. A key records its
+//!   partner's size and is live while the partner still has that size (a
+//!   live cluster only grows; a retired or pruned one has size 0). Stale
+//!   keys are dropped when they surface. A repair whose best pointed at
+//!   `u` or `v` drops that stale best at once: the merged key replaces it
+//!   in `O(1)` if it wins, and only if it lost does the repair rescan. A
+//!   built heap goes back to unbuilt once it holds more than twice its
+//!   slot's live partners, and the kept cluster's heap becomes unbuilt
+//!   with the greatest key of its merged row, since its size changed.
 //! * The global heap is an [`IndexedHeap`] over the dense slot ids.
 //!
 //! The merge order is a pure function of the strict [`GoodnessKey`]
@@ -321,9 +325,9 @@ pub fn agglomerate(
 }
 
 /// [`agglomerate`] with telemetry and under a [`Guard`]. Merges, heap
-/// push/pop totals (summed over the global and every local heap) and
-/// pruned outliers flow into `observer`'s counters, and the combined heap
-/// footprint into its memory gauge. The merge loop calls
+/// push/pop totals (summed over the global heap and the built local
+/// heaps) and pruned outliers flow into `observer`'s counters, and the
+/// combined heap footprint into its memory gauge. The merge loop calls
 /// [`Guard::merge_tick`] before every merge, so a step budget of `s`
 /// permits exactly `s` merges, cancellation takes effect within one merge,
 /// and a deadline is sampled periodically. On a trip the engine stops
@@ -363,7 +367,9 @@ pub fn agglomerate_guarded(
     let mut engine = Engine::new(n, links, goodness, config.record_history);
     // Contract: the freshly built heaps are structurally sound.
     contracts::check_heap(&engine.global);
-    // Heaps are at their fullest right after construction.
+    // The rows are at their fullest right after construction, where no
+    // local heap is built yet; the end of the run observes again, with
+    // the heaps built by then.
     MemoryGauges::observe(
         &observer.memory().heaps,
         cast::usize_to_u64(engine.heap_bytes()),
@@ -398,6 +404,7 @@ pub fn agglomerate_guarded(
                     .count("repairs", tally.repairs)
                     .count("replaced", tally.replaced)
                     .count("rescans", tally.rescans)
+                    .count("builds", tally.builds)
                     .count("dropped", tally.dropped),
             );
         };
@@ -528,39 +535,62 @@ impl LocalKey {
 /// held outside the binary heap.
 ///
 /// `best` is the greatest live key, exactly what an eager heap's `peek`
-/// would return (`None` when no key is live). `keys` holds every other
-/// key made for the slot, live or stale: no live key in it beats `best`,
-/// and a stale key is dropped when it reaches the top during a rescan.
+/// would return (`None` when no key is live). An *unbuilt* heap (`keys`
+/// is `None`) holds nothing else: its `best` is the greatest key its
+/// slot's resolved row makes. A built heap's `keys` holds every other key
+/// made for the slot since the build, live or stale: no live key in it
+/// beats `best`, and a stale key is dropped when it reaches the top during
+/// a rescan.
 #[derive(Debug, Default)]
 struct LocalHeap {
-    keys: BinaryHeap<LocalKey>,
+    keys: Option<BinaryHeap<LocalKey>>,
     best: Option<LocalKey>,
 }
 
 impl LocalHeap {
-    /// Heapifies `keys` (all live) in `O(len)` and takes the greatest
-    /// out as `best`.
-    fn from_keys(keys: Vec<LocalKey>) -> Self {
-        let mut keys = BinaryHeap::from(keys);
-        let best = keys.pop();
-        LocalHeap { keys, best }
+    /// An unbuilt heap whose slot's row makes `best` as its greatest key.
+    fn unbuilt(best: Option<LocalKey>) -> Self {
+        LocalHeap { keys: None, best }
     }
 
-    /// Keys held, `best` included.
-    fn len(&self) -> usize {
-        self.keys.len() + usize::from(self.best.is_some())
+    /// A built heap over `keys` (all live): heapified in `O(len)`, the
+    /// greatest taken out as `best`.
+    fn built(keys: Vec<LocalKey>) -> Self {
+        let mut keys = BinaryHeap::from(keys);
+        let best = keys.pop();
+        LocalHeap {
+            keys: Some(keys),
+            best,
+        }
+    }
+
+    /// Keys a built heap holds, `best` included; 0 while unbuilt.
+    fn built_len(&self) -> usize {
+        self.keys
+            .as_ref()
+            .map_or(0, |keys| keys.len() + usize::from(self.best.is_some()))
+    }
+
+    /// Adds `key`, which does not beat `best`, to a built heap. An unbuilt
+    /// heap's row makes it when the heap is built.
+    fn push(&mut self, key: LocalKey) {
+        if let Some(keys) = &mut self.keys {
+            keys.push(key);
+        }
     }
 
     /// Replaces a stale `best` (already dropped by the caller) with the
     /// greatest live key among `key` and the heap. Drops stale keys off
     /// the top while they beat `key`; a live top that beats it becomes
     /// `best`, and `key`, if any, takes its place in the heap. Returns the
-    /// number of keys dropped.
-    fn rescan(&mut self, key: Option<LocalKey>, size: &[u32]) -> u64 {
+    /// number of keys dropped, or `None` for an unbuilt heap, which has
+    /// nothing to rescan: its slot builds instead.
+    fn rescan(&mut self, key: Option<LocalKey>, size: &[u32]) -> Option<u64> {
+        let keys = self.keys.as_mut()?;
         let mut dropped = 0;
         // Bounded: each pass but the last drops one key.
-        for _ in 0..=self.keys.len() {
-            let Some(mut top) = self.keys.peek_mut() else {
+        for _ in 0..=keys.len() {
+            let Some(mut top) = keys.peek_mut() else {
                 break;
             };
             if key.is_some_and(|k| k > *top) {
@@ -571,25 +601,27 @@ impl LocalHeap {
                     Some(k) => std::mem::replace(&mut *top, k),
                     None => PeekMut::pop(top),
                 });
-                return dropped;
+                return Some(dropped);
             }
             PeekMut::pop(top);
             dropped += 1;
         }
         self.best = key;
-        dropped
+        Some(dropped)
     }
 }
 
 /// What the partner repairs of a run did, counted from its start. Every
 /// repair found its cached best live (and kept it or pushed it into the
 /// heap), `replaced` it, or rescanned; `dropped` counts the stale keys
-/// those rescans popped off the heap.
+/// those rescans popped off built heaps. `builds` counts the heaps built,
+/// by a rescan of an unbuilt heap or by a prune that took its best.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RepairTally {
     repairs: u64,
     replaced: u64,
     rescans: u64,
+    builds: u64,
     dropped: u64,
 }
 
@@ -600,6 +632,7 @@ impl RepairTally {
             repairs: self.repairs - earlier.repairs,
             replaced: self.replaced - earlier.replaced,
             rescans: self.rescans - earlier.rescans,
+            builds: self.builds - earlier.builds,
             dropped: self.dropped - earlier.dropped,
         }
     }
@@ -625,13 +658,14 @@ struct Engine<'a> {
     scratch: Vec<u64>,
     /// Internal (within-cluster) ordered link counts per slot.
     internal: Vec<u64>,
-    /// Lazy local heaps, one per slot.
+    /// Lazy local heaps, one per slot, unbuilt until they rescan.
     local: Vec<LocalHeap>,
     /// Global heap: every slot with a live local best, keyed by that
     /// best's goodness.
     global: IndexedHeap<GoodnessKey>,
-    /// Keys pushed onto / popped off the local heaps (the global heap
-    /// keeps its own tallies).
+    /// Keys pushed onto / popped off the built local heaps, `best`
+    /// included (the global heap keeps its own tallies): their
+    /// difference is the keys the built heaps hold.
     local_pushes: u64,
     local_pops: u64,
     tally: RepairTally,
@@ -643,8 +677,8 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
         // Each slot's row is sized to its degree and filled by scattering
-        // the link table. All rows are allocated before all key vectors:
-        // allocating each slot's pair together measured a higher peak RSS.
+        // the link table. No heap is built: each slot's best is the
+        // greatest key its row makes.
         let mut live_partners = vec![0usize; n];
         for (i, j, _) in links.iter() {
             live_partners[cast::u32_to_usize(i)] += 1;
@@ -660,19 +694,16 @@ impl<'a> Engine<'a> {
         }
         let mut global = IndexedHeap::with_capacity(n);
         let mut local = Vec::with_capacity(n);
-        let mut local_pushes = 0;
         for (s, row) in rows.iter().enumerate() {
-            let keys: Vec<LocalKey> = row
+            let best = row
                 .iter()
                 .map(|&(p, count)| LocalKey::new(goodness, count, 1, p, 1))
-                .collect();
-            local_pushes += cast::usize_to_u64(keys.len());
-            let heap = LocalHeap::from_keys(keys);
-            if let Some(best) = heap.best {
+                .max();
+            if let Some(best) = best {
                 let su = cast::usize_to_u32(s);
                 global.insert_or_update(su, GoodnessKey::new(best.goodness(), su));
             }
-            local.push(heap);
+            local.push(LocalHeap::unbuilt(best));
         }
         Engine {
             goodness,
@@ -684,7 +715,7 @@ impl<'a> Engine<'a> {
             internal: vec![0; n],
             local,
             global,
-            local_pushes,
+            local_pushes: 0,
             local_pops: 0,
             tally: RepairTally::default(),
             history: Vec::new(),
@@ -814,30 +845,26 @@ impl<'a> Engine<'a> {
         // Retire v: before any partner's repair can resolve its row, v
         // stands for u.
         self.parent[vi] = u;
-        let retired = std::mem::take(&mut self.local[vi]);
-        self.local_pops += cast::usize_to_u64(retired.len());
+        self.take_heap(vi);
         self.global.remove(v);
 
         // Re-key every partner x of the merged cluster from both sides,
         // each with its own size first: u's side is merge_goodness(c, nw,
         // nx), x's side merge_goodness(c, nx, nw), and their last bits can
-        // differ. u's own heap is rebuilt, since its size changed. Each
+        // differ. u's heap, whose keys all went stale with its size,
+        // becomes unbuilt with the greatest of its side's keys. Each
         // partner's repair touches only its own heap, so the row's order
         // does not matter.
         let nw = nu + nv;
-        let old = std::mem::take(&mut self.local[ui]);
-        self.local_pops += cast::usize_to_u64(old.len());
-        let old_best = old.best;
-        let mut keys = old.keys.into_vec();
-        keys.clear();
+        let old_best = self.take_heap(ui);
+        let mut best = None;
         for &(x, count) in &row {
             let nx = self.size(x);
-            keys.push(LocalKey::new(self.goodness, count, nw, x, nx));
+            best = best.max(Some(LocalKey::new(self.goodness, count, nw, x, nx)));
             let x_side = LocalKey::new(self.goodness, count, nx, u, nw);
             self.repair(x, v, x_side);
         }
-        self.local_pushes += cast::usize_to_u64(keys.len());
-        self.local[ui] = LocalHeap::from_keys(keys);
+        self.local[ui] = LocalHeap::unbuilt(best);
         self.rows[ui] = row;
         self.publish(u, old_best);
         self.merges += 1;
@@ -854,34 +881,53 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Empties slot `s`'s heap, whose keys went stale with its size,
+    /// counting the keys a built one held as popped, and returns its best.
+    fn take_heap(&mut self, s: usize) -> Option<LocalKey> {
+        let heap = std::mem::take(&mut self.local[s]);
+        self.local_pops += cast::usize_to_u64(heap.built_len());
+        heap.best
+    }
+
     /// Partner `x` of a merge of `v` into `u = key.partner()`: its heap
     /// gets `key`, and its row stays as it is. A cached best for `u` or
     /// `v` is stale and is dropped at once: `key` replaces it if it wins,
     /// and a rescan runs only if it lost. A live best stays unless `key`
-    /// beats it, and is then pushed into the heap.
+    /// beats it. A built heap takes whichever of the two is not the best;
+    /// an unbuilt one takes nothing, since its row makes both, and its
+    /// rescan is a build.
     fn repair(&mut self, x: u32, v: u32, key: LocalKey) {
         let xi = cast::u32_to_usize(x);
         let u = key.partner();
         let heap = &mut self.local[xi];
-        self.local_pushes += 1;
         self.tally.repairs += 1;
         let old_best = heap.best;
+        // A built heap counts `key` pushed and a stale best popped; an
+        // unbuilt one counts neither.
+        let built = u64::from(heap.keys.is_some());
+        self.local_pushes += built;
         match old_best {
             Some(b) if b.partner() == u || b.partner() == v => {
-                self.local_pops += 1;
+                self.local_pops += built;
                 if key > b {
                     heap.best = Some(key);
                     self.tally.replaced += 1;
                 } else {
-                    let dropped = heap.rescan(Some(key), &self.size);
-                    self.local_pops += dropped;
                     self.tally.rescans += 1;
-                    self.tally.dropped += dropped;
+                    match heap.rescan(Some(key), &self.size) {
+                        Some(dropped) => {
+                            self.local_pops += dropped;
+                            self.tally.dropped += dropped;
+                        }
+                        // The row already maps v to u, so the build makes
+                        // `key` itself.
+                        None => self.build(x),
+                    }
                 }
             }
-            Some(b) if key < b => heap.keys.push(key),
+            Some(b) if key < b => heap.push(key),
             Some(b) => {
-                heap.keys.push(b);
+                heap.push(b);
                 heap.best = Some(key);
             }
             None => heap.best = Some(key),
@@ -889,43 +935,60 @@ impl<'a> Engine<'a> {
         self.settle(x, old_best);
     }
 
-    /// Ends a change to slot `x`'s heap: rebuilds it from the resolved
-    /// row once the binary heap holds more than twice the slot's live
+    /// Builds slot `x`'s heap from its row, resolved and stored back: one
+    /// key per live partner, heapified. Its old heap must be unbuilt.
+    fn build(&mut self, x: u32) {
+        let xi = cast::u32_to_usize(x);
+        debug_assert!(self.local[xi].keys.is_none(), "slot {x}: built twice");
+        let mut row = std::mem::take(&mut self.rows[xi]);
+        self.resolve(&mut row);
+        debug_assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
+        let (size, goodness) = (&self.size, self.goodness);
+        let own = cast::u32_to_usize(size[xi]);
+        let keys: Vec<LocalKey> = row
+            .iter()
+            .map(|&(y, count)| {
+                let ny = cast::u32_to_usize(size[cast::u32_to_usize(y)]);
+                LocalKey::new(goodness, count, own, y, ny)
+            })
+            .collect();
+        self.local_pushes += cast::usize_to_u64(keys.len());
+        self.tally.builds += 1;
+        self.local[xi] = LocalHeap::built(keys);
+        self.rows[xi] = row;
+    }
+
+    /// Ends a change to slot `x`'s heap: a built heap goes back to
+    /// unbuilt once its binary heap holds more than twice the slot's live
     /// partners (stale keys then outnumber live ones), which bounds it at
-    /// about twice the row (every old key popped, every live key
-    /// re-pushed), then publishes the best.
+    /// about twice the row; its best stays. Then publishes the best.
     fn settle(&mut self, x: u32, old_best: Option<LocalKey>) {
         let xi = cast::u32_to_usize(x);
-        if self.local[xi].keys.len() > 2 * self.live_partners[xi] {
-            let mut row = std::mem::take(&mut self.rows[xi]);
-            self.resolve(&mut row);
-            debug_assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
-            let heap = &mut self.local[xi];
-            self.local_pops += cast::usize_to_u64(heap.len());
-            self.local_pushes += cast::usize_to_u64(row.len());
-            let size = &self.size;
-            let own = cast::u32_to_usize(size[xi]);
-            let mut keys = std::mem::take(&mut heap.keys).into_vec();
-            keys.clear();
-            keys.extend(row.iter().map(|&(y, count)| {
-                let ny = cast::u32_to_usize(size[cast::u32_to_usize(y)]);
-                LocalKey::new(self.goodness, count, own, y, ny)
-            }));
-            *heap = LocalHeap::from_keys(keys);
-            self.rows[xi] = row;
+        let heap = &mut self.local[xi];
+        if heap
+            .keys
+            .as_ref()
+            .is_some_and(|keys| keys.len() > 2 * self.live_partners[xi])
+        {
+            self.local_pops += cast::usize_to_u64(heap.built_len());
+            heap.keys = None;
         }
         self.publish(x, old_best);
     }
 
     /// Live partner `x` of a pruned slot `s` (now of size 0) loses it; its
-    /// keys for `s` are stale.
+    /// keys for `s` are stale. A best for `s` is replaced by a rescan of a
+    /// built heap, or else by a build.
     fn drop_partner(&mut self, x: u32, s: u32) {
         let xi = cast::u32_to_usize(x);
         self.live_partners[xi] -= 1;
         let heap = &mut self.local[xi];
         let old_best = heap.best;
         if old_best.is_some_and(|b| b.partner() == s) {
-            self.local_pops += 1 + heap.rescan(None, &self.size);
+            match heap.rescan(None, &self.size) {
+                Some(dropped) => self.local_pops += 1 + dropped,
+                None => self.build(x),
+            }
         }
         self.settle(x, old_best);
     }
@@ -945,8 +1008,7 @@ impl<'a> Engine<'a> {
             let si = cast::u32_to_usize(s);
             self.size[si] = 0;
             self.internal[si] = 0;
-            let retired = std::mem::take(&mut self.local[si]);
-            self.local_pops += cast::usize_to_u64(retired.len());
+            self.take_heap(si);
             self.global.remove(s);
             // s's row resolved is its live partners (victims pruned
             // earlier in this pass are dead); each drops s on its own.
@@ -961,10 +1023,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Estimated bytes of the merge state that scales with the links:
-    /// the global heap, every local heap and every link row (entries at
-    /// capacity).
+    /// the global heap, every local heap (keys only while built) and
+    /// every link row (entries at capacity).
     fn heap_bytes(&self) -> usize {
-        let keys: usize = self.local.iter().map(|h| h.keys.capacity()).sum();
+        let keys: usize = self
+            .local
+            .iter()
+            .filter_map(|h| h.keys.as_ref())
+            .map(BinaryHeap::capacity)
+            .sum();
         let entries: usize = self.rows.iter().map(Row::capacity).sum();
         self.global.estimated_bytes()
             + self.local.capacity() * std::mem::size_of::<LocalHeap>()
@@ -974,9 +1041,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Flushes the run's tallies into `observer`: merges, push/pop totals
-    /// over the global and every local heap, and the end-of-run heap
-    /// footprint (lazy heaps can outgrow their start). The pruned points
-    /// are counted from the result.
+    /// over the global heap and the built local heaps, and the end-of-run
+    /// heap footprint, which holds the heaps still built. The pruned
+    /// points are counted from the result.
     fn flush_telemetry(&self, observer: &Observer) {
         let counters = observer.counters();
         let (pushes, pops) = self.global.telemetry_counts();
@@ -1014,11 +1081,13 @@ impl<'a> Engine<'a> {
 
     /// Checks the lazy-heap invariants against a full recomputation: the
     /// scratch row is clean, resolved rows are symmetric in partners and
-    /// counts and as long as the slot's live-partner count, a slot's live
-    /// keys (the heap's live keys plus `best`) are exactly the keys its
-    /// resolved row makes now, each held once, `best` is the greatest of
-    /// them, and the global heap holds exactly the slots with a best,
-    /// keyed by its goodness. Test helper; `O(links)` per call.
+    /// counts and as long as the slot's live-partner count, a built
+    /// slot's live keys (the heap's live keys plus `best`) are exactly the
+    /// keys its resolved row makes now, each held once, every slot's
+    /// `best` is the greatest key its resolved row makes, the global heap
+    /// holds exactly the slots with a best, keyed by its goodness, and
+    /// the local push and pop tallies differ by the keys the built heaps
+    /// hold. Test helper; `O(links)` per call.
     #[cfg(test)]
     fn assert_invariants(&self) {
         self.global.assert_invariants();
@@ -1036,25 +1105,26 @@ impl<'a> Engine<'a> {
             assert!(!row.contains_key(&x), "slot {x} links to itself");
             assert_eq!(row.len(), self.live_partners[xi], "slot {x}: live partners");
             let own = self.size(x);
-            let mut live: Vec<LocalKey> = heap
-                .keys
-                .iter()
-                .copied()
-                .chain(heap.best)
-                .filter(|k| k.is_live(&self.size))
-                .collect();
-            live.sort_unstable();
             let mut fresh: Vec<LocalKey> = row
                 .iter()
                 .map(|(&y, &c)| LocalKey::new(self.goodness, c, own, y, self.size(y)))
                 .collect();
             fresh.sort_unstable();
-            assert_eq!(live, fresh, "slot {x}: live keys disagree with the row");
-            assert_eq!(heap.best, live.last().copied(), "slot {x}: stale best");
-            assert!(
-                heap.keys.len() <= 2 * row.len().max(1),
-                "slot {x}: heap never compacted"
-            );
+            assert_eq!(heap.best, fresh.last().copied(), "slot {x}: stale best");
+            if let Some(keys) = &heap.keys {
+                let mut live: Vec<LocalKey> = keys
+                    .iter()
+                    .copied()
+                    .chain(heap.best)
+                    .filter(|k| k.is_live(&self.size))
+                    .collect();
+                live.sort_unstable();
+                assert_eq!(live, fresh, "slot {x}: live keys disagree with the row");
+                assert!(
+                    keys.len() <= 2 * row.len().max(1),
+                    "slot {x}: heap never compacted"
+                );
+            }
             let global_key = self.global.priority(x).copied();
             assert_eq!(
                 global_key,
@@ -1066,6 +1136,12 @@ impl<'a> Engine<'a> {
                 assert_eq!(back, Some(count), "rows {x}/{y} asymmetric");
             }
         }
+        let held: usize = self.local.iter().map(LocalHeap::built_len).sum();
+        assert_eq!(
+            self.local_pushes - self.local_pops,
+            cast::usize_to_u64(held),
+            "local push and pop tallies"
+        );
     }
 
     /// The result: each point is labeled by the slot its chain ends at,
@@ -1915,19 +1991,22 @@ mod tests {
     fn stale_rows_resolve_through_retired_chains_and_pruned_absorbers() {
         // 6 merges into 0 and 5 into 4 (count 20, ties to the smaller
         // slot), then 2 into 1 (10), then {1, 2} into {0, 6} (12 at sizes
-        // 2 and 2). Slot 3 links only to 2 and is never resolved on the
-        // way, so its row names 2, which stands for 0 through the retired
-        // 1. The checkpoint then prunes 3 and {4, 5}, whose row also names
-        // 2, and leaves 0 without partners.
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 7];
+        // 2 and 2). Slots 3 and {4, 5} each link once to 2, and more
+        // strongly to 7, which stays their best, so neither rescans, builds
+        // or resolves its row on the way: 3's row still names 2, which
+        // stands for 0 through the retired 1. The checkpoint then prunes
+        // 3, {4, 5} and 7, whose row names 3 and 4, and leaves 0 without
+        // partners.
+        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 8];
         rows[0] = vec![(1, 6), (2, 6), (6, 20)];
         rows[1] = vec![(2, 10)];
         rows[2] = vec![(3, 1), (5, 1)];
-        rows[4] = vec![(5, 20)];
+        rows[3] = vec![(7, 2)];
+        rows[4] = vec![(5, 20), (7, 2)];
         let links = LinkTable::from_upper_rows(rows);
         let good = Goodness::new(0.5, &MarketBasket).unwrap();
 
-        let mut engine = Engine::new(7, &links, &good, true);
+        let mut engine = Engine::new(8, &links, &good, true);
         engine.assert_invariants();
         for _ in 0..4 {
             engine.merge_best().unwrap();
@@ -1939,32 +2018,34 @@ mod tests {
             .map(|m| (m.kept, m.absorbed))
             .collect();
         assert_eq!(order, [(0, 6), (4, 5), (1, 2), (0, 1)]);
-        assert_eq!(engine.rows[3], [(2, 1)]);
-        assert_eq!(engine.rows[4], [(2, 1)]);
+        assert_eq!(engine.tally.builds, 0);
+        assert_eq!(engine.rows[3], [(2, 1), (7, 2)]);
+        assert_eq!(engine.rows[4], [(7, 2), (2, 1)]);
         assert_eq!((engine.parent[2], engine.parent[1]), (1, 0));
-        assert_eq!(engine.prune_small(2), 2);
+        assert_eq!(engine.prune_small(2), 3);
         engine.assert_invariants();
         assert!(engine.global.is_empty());
-        assert_eq!(engine.finish(false).outliers, [3, 4, 5]);
+        assert_eq!(engine.finish(false).outliers, [3, 4, 5, 7]);
 
         let cfg = AgglomerateConfig {
             k: 1,
-            // Fires at ceil(0.4 · 7) = 3 clusters: {0, 1, 2, 6}, 3, {4, 5}.
+            // Fires at ceil(0.5 · 8) = 4 clusters: {0, 1, 2, 6}, 3,
+            // {4, 5}, 7.
             prune: Some(PruneConfig {
-                checkpoint_fraction: 0.4,
+                checkpoint_fraction: 0.5,
                 max_prune_size: 2,
             }),
             record_history: true,
             min_goodness: None,
         };
-        let got = agglomerate(7, &links, &good, &cfg).unwrap();
+        let got = agglomerate(8, &links, &good, &cfg).unwrap();
         assert_same(
             &got,
-            &oracle::run(7, &links, &good, &cfg, None),
+            &oracle::run(8, &links, &good, &cfg, None),
             "stale rows",
         );
-        assert_eq!(got.outliers, [3, 4, 5]);
-        assert!(check_against_oracle(7, &links, &good, "stale rows grid") > 0);
+        assert_eq!(got.outliers, [3, 4, 5, 7]);
+        assert!(check_against_oracle(8, &links, &good, "stale rows grid") > 0);
     }
 
     #[test]
@@ -2024,6 +2105,7 @@ mod tests {
             sum.repairs += field("repairs");
             sum.replaced += field("replaced");
             sum.rescans += field("rescans");
+            sum.builds += field("builds");
             sum.dropped += field("dropped");
         }
         sum
@@ -2041,6 +2123,7 @@ mod tests {
         while engine.merge_best().is_some() {}
         let total = engine.tally;
         assert!(total.replaced > 0 && total.rescans > 0 && total.dropped > 0);
+        assert!(total.builds > 0);
         assert!(total.repairs > total.replaced + total.rescans);
         assert_eq!(traced_batch_tallies(n, &links, &good, "sum"), total);
     }
@@ -2050,7 +2133,10 @@ mod tests {
         // Every pair is linked, so the merge that leaves a clusters
         // repairs the other a - 1. A merged key beats the stale best it
         // meets when f(θ) < 1/2 (θ = 0.5) and loses to it when f(θ) > 1/2
-        // (θ = 0.2).
+        // (θ = 0.2). A replacement builds nothing; a rescan builds a heap
+        // the first time its slot rescans since it last kept a merge, so
+        // the first merge builds every partner's heap and each later one
+        // about one: the slot the merge before it kept.
         let n = 200;
         let same: TransactionSet = (0..n).map(|_| Transaction::new([1, 2, 3])).collect();
         for theta in [0.5, 0.2] {
@@ -2061,8 +2147,14 @@ mod tests {
             assert_eq!(t.repairs, ((n - 1) * (n - 2) / 2) as u64, "theta={theta}");
             if theta == 0.5 {
                 assert_eq!((t.replaced, t.rescans), (t.repairs, 0), "theta={theta}");
+                assert_eq!(t.builds, 0, "theta={theta}");
             } else {
                 assert_eq!((t.replaced, t.rescans), (0, t.repairs), "theta={theta}");
+                assert!(
+                    t.builds < 2 * n as u64,
+                    "theta={theta}: {} builds",
+                    t.builds
+                );
             }
         }
     }
@@ -2070,12 +2162,20 @@ mod tests {
     #[test]
     fn heap_bytes_counts_rows_and_local_heaps() {
         let (ts, links, good) = guarded_fixture();
-        let engine = Engine::new(ts.len(), &links, &good, false);
-        let global_only = engine.global.estimated_bytes();
+        let mut engine = Engine::new(ts.len(), &links, &good, false);
         let entries: usize = engine.rows.iter().map(Row::len).sum();
         assert!(entries > 0);
-        let keys = entries * std::mem::size_of::<LocalKey>();
-        let rows = entries * std::mem::size_of::<(u32, u64)>();
-        assert!(engine.heap_bytes() >= global_only + keys + rows);
+        // No heap is built yet: the global heap, the slots and the rows.
+        let unbuilt = engine.global.estimated_bytes()
+            + engine.local.capacity() * std::mem::size_of::<LocalHeap>()
+            + engine.rows.capacity() * std::mem::size_of::<Row>()
+            + entries * std::mem::size_of::<(u32, u64)>();
+        assert_eq!(engine.heap_bytes(), unbuilt);
+        // A build adds one key per live partner, its best included.
+        engine.build(0);
+        engine.assert_invariants();
+        let keys = engine.rows[0].len() * std::mem::size_of::<LocalKey>();
+        assert!(keys > 0);
+        assert_eq!(engine.heap_bytes(), unbuilt + keys);
     }
 }

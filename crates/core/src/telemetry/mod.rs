@@ -254,8 +254,8 @@ impl EventSink for StderrSink {
 /// | `neighbor_pairs_verified` | one join candidate whose intersection was computed and checked against θ (each is also one `similarity_comparisons` unit) |
 /// | `link_kernel_steps` | one visit of the link kernel's inner loop (`Σ_i Σ_{l∈N(i)} deg(l)` — the paper's `Σ deg²` cost) |
 /// | `link_entries` | one nonzero upper-triangle entry in the link table |
-/// | `heap_pushes` | one key pushed onto a merge-engine heap: a global-heap `insert_or_update`, or a local-heap key (initial, repair, or re-pushed by a rebuild) |
-/// | `heap_pops` | one key leaving a merge-engine heap: a global-heap removal, or a local-heap key discarded as stale, dropped by a rebuild, or dropped with a retired cluster |
+/// | `heap_pushes` | one key pushed onto a merge-engine heap: a global-heap `insert_or_update`, or a key of a built local heap (made by its build, or added by a repair); an unbuilt heap's best is never counted |
+/// | `heap_pops` | one key leaving a merge-engine heap: a global-heap removal, or a key leaving a built local heap (dropped as stale, or held when the heap goes back to unbuilt or its slot merges, retires or is pruned) |
 /// | `heap_anomalies` | one internal-consistency anomaly inside the global heap (a `remove` whose position index and entry array disagreed) — always 0 on a healthy run |
 /// | `merges` | one cluster merge |
 /// | `points_sampled` | one point drawn into the clustering sample |
@@ -382,7 +382,9 @@ pub struct MemoryGauges {
     /// Link-table sparse rows, plus the graph's bit matrix when the
     /// bit-matrix link kernel builds one.
     pub link_table: AtomicU64,
-    /// Merge-engine heaps (global + all local heaps).
+    /// Merge-engine state: the global heap, the local heaps (keys of
+    /// built ones only) and the link rows, observed after construction
+    /// and at the end of the run.
     pub heaps: AtomicU64,
     /// Recorded merge history / dendrogram steps.
     pub dendrogram: AtomicU64,
