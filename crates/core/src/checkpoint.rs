@@ -247,6 +247,19 @@ mod tests {
     }
 
     #[test]
+    fn a_save_whose_rename_fails_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("rock-checkpoint-failed-rename");
+        std::fs::remove_dir_all(&dir).ok();
+        // A non-empty directory at the target path: the rename fails.
+        let path = dir.join("run.rockckpt");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        let err = sample().save(&path).unwrap_err();
+        assert!(matches!(err, RockError::Io { .. }), "{err}");
+        assert!(!file::sibling(&path, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corruption_fails_closed() {
         let text = sample().render();
         // Flip a digit in the body: checksum must catch it.

@@ -26,12 +26,33 @@ pub fn sibling(path: &Path, suffix: &str) -> PathBuf {
 
 /// A replacement of the file at `path` in progress: writes go to
 /// `<path>.tmp`, and [`commit`](Self::commit) renames it over `path`.
-/// Until then `path` is untouched; dropped uncommitted, it stays so.
+/// Until then `path` is untouched. A replacement that fails or is dropped
+/// uncommitted removes the temp file, so `path` stays as it was and
+/// nothing is left beside it.
 #[derive(Debug)]
 pub struct Replacement<'a> {
     path: Cow<'a, Path>,
-    tmp: PathBuf,
     out: BufWriter<File>,
+    /// Declared after `out`, so the file is closed before it is removed.
+    tmp: TempFile,
+}
+
+/// A temp file that is removed when dropped, unless it was renamed into
+/// place.
+#[derive(Debug)]
+struct TempFile {
+    path: PathBuf,
+    renamed: bool,
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if !self.renamed {
+            // A temp file that cannot be removed stays where it is; a drop
+            // has no caller to report that to.
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
 }
 
 impl<'a> Replacement<'a> {
@@ -47,7 +68,11 @@ impl<'a> Replacement<'a> {
         let tmp = sibling(&path, ".tmp");
         let file = File::create(&tmp).map_err(RockError::io(&tmp))?;
         let out = BufWriter::with_capacity(capacity, file);
-        Ok(Replacement { path, tmp, out })
+        let tmp = TempFile {
+            path: tmp,
+            renamed: false,
+        };
+        Ok(Replacement { path, out, tmp })
     }
 
     /// The buffered temp file, for writers that take a [`Write`]; their
@@ -61,7 +86,9 @@ impl<'a> Replacement<'a> {
     /// # Errors
     /// [`RockError::Io`] on write failure.
     pub fn write_all(&mut self, bytes: &[u8]) -> Result<()> {
-        self.out.write_all(bytes).map_err(RockError::io(&self.tmp))
+        self.out
+            .write_all(bytes)
+            .map_err(RockError::io(&self.tmp.path))
     }
 
     /// Flushes the buffer and syncs the temp file (`sync_all`).
@@ -69,20 +96,23 @@ impl<'a> Replacement<'a> {
     /// # Errors
     /// [`RockError::Io`] on flush or sync failure.
     pub fn sync(&mut self) -> Result<()> {
-        let io = RockError::io(&self.tmp);
+        let io = RockError::io(&self.tmp.path);
         self.out.flush().map_err(&io)?;
         self.out.get_ref().sync_all().map_err(io)
     }
 
     /// Flushes the buffer, closes the temp file and renames it over
-    /// `path`. Syncs nothing.
+    /// `path`. Syncs nothing. On failure the temp file is removed.
     ///
     /// # Errors
     /// [`RockError::Io`] on flush or rename failure.
     pub fn commit(self) -> Result<()> {
-        let io = RockError::io(&self.tmp);
-        drop(self.out.into_inner().map_err(|e| io(e.into_error()))?);
-        std::fs::rename(&self.tmp, &self.path).map_err(RockError::io(&self.path))
+        let Replacement { path, out, mut tmp } = self;
+        let io = RockError::io(&tmp.path);
+        drop(out.into_inner().map_err(|e| io(e.into_error()))?);
+        std::fs::rename(&tmp.path, &path).map_err(RockError::io(&path))?;
+        tmp.renamed = true;
+        Ok(())
     }
 }
 
@@ -246,13 +276,32 @@ mod tests {
         out.commit().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new");
         assert!(!sibling(&path, ".tmp").exists());
-        // Dropped without commit: the file stays as it was.
+        // Dropped without commit: the file stays as it was, and the temp
+        // file is gone.
         let mut out = Replacement::create(&path).unwrap();
         out.write_all(b"lost").unwrap();
         drop(out);
         assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        assert!(!sibling(&path, ".tmp").exists());
         replace(&path, b"whole").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"whole");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_replacement_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join("rock-file-replace-failed");
+        std::fs::remove_dir_all(&dir).ok();
+        // A non-empty directory at the target path: the rename fails.
+        let path = dir.join("a.txt");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        let mut out = Replacement::create(&path).unwrap();
+        out.write_all(b"new").unwrap();
+        assert!(matches!(out.commit(), Err(RockError::Io { .. })));
+        assert!(!sibling(&path, ".tmp").exists());
+        assert!(matches!(replace(&path, b"new"), Err(RockError::Io { .. })));
+        assert!(!sibling(&path, ".tmp").exists());
+        assert!(path.join("inside").is_dir());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

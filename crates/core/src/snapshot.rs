@@ -797,6 +797,19 @@ mod tests {
     }
 
     #[test]
+    fn a_save_whose_rename_fails_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("rock-snapshot-failed-rename");
+        std::fs::remove_dir_all(&dir).ok();
+        // A non-empty directory at the target path: the rename fails.
+        let path = dir.join("m.rockmodel");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        let err = toy_snapshot().save(&path).unwrap_err();
+        assert!(matches!(err, RockError::Io { .. }), "{err}");
+        assert!(!file::sibling(&path, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_snapshot_that_is_not_utf8_is_malformed_at_its_line() {
         let dir = std::env::temp_dir().join("rock-snapshot-not-utf8");
         std::fs::create_dir_all(&dir).unwrap();

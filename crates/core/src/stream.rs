@@ -922,6 +922,23 @@ mod tests {
     }
 
     #[test]
+    fn a_finalize_whose_rename_fails_leaves_no_temp_file() {
+        let dir = temp_dir("failed-rename");
+        let snap = test_snapshot();
+        let source = MemoryChunkSource::new(test_rows(30), 10);
+        // A non-empty directory at the output path: the rename fails.
+        let out = dir.join("x.rockassign");
+        std::fs::create_dir_all(out.join("inside")).unwrap();
+        let ckpt = dir.join("x.rockckpt");
+        let err = StreamLabeler::new(&snap)
+            .run(&source, &out, &ckpt, &Guard::unlimited(), &Observer::new())
+            .unwrap_err();
+        assert!(matches!(err, RockError::Io { .. }), "{err}");
+        assert!(!file::sibling(&out, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn memory_source_chunks_cover_all_rows() {
         let source = MemoryChunkSource::new(test_rows(25), 10);
         assert_eq!(source.total_chunks(), 3);

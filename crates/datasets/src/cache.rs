@@ -487,6 +487,18 @@ mod tests {
     }
 
     #[test]
+    fn a_build_whose_rename_fails_leaves_no_temp_file() {
+        let dir = temp_dir("failed-rename");
+        // A non-empty directory at the target path: the rename fails.
+        let path = dir.join("d.rockcache");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        let err = build_cache(&path, 6, 10, &rows(25)).unwrap_err();
+        assert!(matches!(err, RockError::Io { .. }), "{err}");
+        assert!(!rock_core::file::sibling(&path, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn identity_is_content_sensitive() {
         let dir = temp_dir("identity");
         let a = build_cache(&dir.join("a.rockcache"), 6, 10, &rows(25)).unwrap();

@@ -1478,6 +1478,72 @@ mod tests {
     }
 
     #[test]
+    fn failed_output_writes_leave_no_temp_file() {
+        let dir = std::env::temp_dir().join("rock-cli-failed-output");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("toy.csv");
+        std::fs::write(&input, "a,b,c,left\nx,y,z,right\n".repeat(10)).unwrap();
+        let model = dir.join("toy.rockmodel");
+        // A non-empty directory at the output path: the rename fails.
+        let output = dir.join("out.txt");
+        std::fs::create_dir_all(output.join("inside")).unwrap();
+        let opts = Options {
+            input: input.clone(),
+            format: Format::Table,
+            k: 2,
+            theta: 0.5,
+            label: LabelPosition::Last,
+            ignore: vec![],
+            missing: "?".into(),
+            sample: SampleStrategy::All,
+            min_goodness: None,
+            seed: 1,
+            threads: 1,
+            summary_top: 0,
+            output: Some(output.clone()),
+            metrics: None,
+            progress: false,
+            log_level: Level::Off,
+            time_budget: None,
+            step_budget: None,
+            mem_budget: None,
+            on_error: OnError::Fail,
+            save_model: None,
+            outlier_policy: OutlierPolicy::Mark,
+            trace: None,
+        };
+        let err = run(&opts).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert!(!sibling(&output, ".tmp").exists());
+        run(&Options {
+            output: None,
+            save_model: Some(model.clone()),
+            ..opts
+        })
+        .unwrap();
+        let err = run_label(&LabelOptions {
+            model,
+            input,
+            format: Format::Table,
+            label: LabelPosition::Last,
+            ignore: vec![],
+            missing: "?".into(),
+            output: Some(output.clone()),
+            stream: false,
+            cache: None,
+            checkpoint: None,
+            chunk_rows: 4096,
+            mem_budget: None,
+            threads: 1,
+        })
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert!(!sibling(&output, ".tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn parses_streaming_label_flags() {
         let args = [
             "--model",
