@@ -171,6 +171,48 @@ gate_trace() {
         --export-chrome target/trace/ci-chrome.json >/dev/null
 }
 
+gate_paper() {
+    # The paper's reproduced tables: nine exps run with their default
+    # arguments and their stdout is compared with the committed
+    # results/exp_*.txt, so a change that moves a reproduced number
+    # fails here. Seven print no time and must match byte for byte;
+    # exp_sampling and exp_components print time columns, so every
+    # `<digits>.<digits>s` token (and the padding after it) is masked on
+    # both sides first. Not run:
+    #   exp_scalability, exp_neighbors  every column but the counts is a
+    #                                   wall time or a ratio of two
+    #   exp_links, exp_scale, exp_serve no committed table
+    # Release-only: --quick skips it.
+    if [ "$quick" -eq 1 ]; then
+        echo "== paper gate: skipped under --quick (release build)"
+        return 0
+    fi
+    echo "== paper gate: reproduced tables vs results/exp_*.txt"
+    cargo build --offline --release -q -p rock-bench
+    mkdir -p target/paper
+    paper_failed=""
+    for exp in exp_intro_example exp_votes exp_mushroom exp_funds exp_theta \
+        exp_ablation exp_convergence exp_sampling exp_components; do
+        case "$exp" in
+            exp_sampling | exp_components) mask='s/[0-9]+\.[0-9]+s */<time> /g' ;;
+            *) mask='' ;;
+        esac
+        "./target/release/$exp" > "target/paper/$exp.txt"
+        sed -E "$mask" "results/$exp.txt" > "target/paper/$exp.want"
+        sed -E "$mask" "target/paper/$exp.txt" > "target/paper/$exp.got"
+        if ! cmp -s "target/paper/$exp.want" "target/paper/$exp.got"; then
+            diff "target/paper/$exp.want" "target/paper/$exp.got" || true
+            paper_failed="$paper_failed $exp"
+        fi
+    done
+    echo "-- not compared: exp_scalability, exp_neighbors (timing columns and" \
+        "ratios of them); exp_links, exp_scale, exp_serve (no committed table)"
+    if [ -n "$paper_failed" ]; then
+        echo "== paper gate: differs from results/:$paper_failed"
+        exit 1
+    fi
+}
+
 gate_rockbench() {
     # The end-to-end benchmark (crates/bench/src/bin/rock_bench) is a
     # package of its own that no workspace command builds, so a change
@@ -273,7 +315,7 @@ bench_check_file() {
 # (--bench or --gate bench) — same contract as before the selector.
 # `repeat` reruns three of these gates five times; CI's release job
 # asks for it by name.
-GATES="fmt clippy doc analyze tier1 chaos stream serve registry trace rockbench"
+GATES="fmt clippy doc analyze tier1 chaos stream serve registry trace paper rockbench"
 
 list_gates() {
     echo "ci.sh gates (run one with --gate <name>):"
@@ -287,6 +329,7 @@ list_gates() {
     echo "  serve     rock-serve build + chaos + loopback smoke"
     echo "  registry  multi-model admin plane smoke"
     echo "  trace     traced run + rock-trace check/report/export"
+    echo "  paper     the paper's tables vs results/exp_*.txt, release (skipped by --quick)"
     echo "  rockbench rock_bench package: clippy + tests, release (skipped by --quick)"
     echo "  repeat    chaos + stream + serve gates, 5 rounds (not in full runs)"
     echo "  bench     regression gate vs results/BENCH_*.json (not in full runs)"
